@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernel against the numpy fallback on synthetic data.
+"""Time the batch scorer over a compiled label index on synthetic data.
 
 Builds a synthetic label index and phrase set shaped like a real deployment
-(hundreds of concepts, thousands of phrases) and times the batch scorer on
-both backends. The jit path is warmed before timing so compilation cost does
-not pollute the numbers.
+(hundreds of concepts, thousands of phrases), compiles the index once, and
+times ``score_counts`` over every phrase. The checksum (total matched pairs)
+is fixed by the seed, so a change to the scorer that alters its results
+shows as a different checksum at the same arguments.
 
-Usage: python benchmarks/bench_matching.py [--entries N] [--phrases N]
+Usage: PYTHONPATH=src python benchmarks/bench_matching.py [--entries N] [--phrases N]
 """
 
 import argparse
@@ -14,6 +15,7 @@ import random
 import time
 
 from onto_enrich import _scoring
+from onto_enrich.ontology import IndexEntry, LabelIndex
 
 VOCABULARY = [
     "triangle", "quadrilateral", "perpendicular", "segment", "middle", "line",
@@ -29,17 +31,6 @@ def synthetic_sequences(rng, count, max_len):
     ]
 
 
-def run_backend(name, scorer, phrases, index, threshold):
-    started = time.perf_counter()
-    checksum = 0
-    for q_cp, q_off in phrases:
-        m, _ = scorer(q_cp, q_off, index, threshold)
-        checksum += int(m.sum())
-    elapsed = time.perf_counter() - started
-    print(f"{name:>6}: {elapsed:8.3f} s   (checksum {checksum})")
-    return elapsed, checksum
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--entries", type=int, default=1000, help="index size")
@@ -48,35 +39,22 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(1)
-    index = _scoring.ScoringIndex(synthetic_sequences(rng, args.entries, 4))
-    phrases = [_scoring.encode_sequence(seq)
-               for seq in synthetic_sequences(rng, args.phrases, 5)]
+    entries = synthetic_sequences(rng, args.entries, 4)
+    phrases = synthetic_sequences(rng, args.phrases, 5)
     print(f"{args.entries} index entries x {args.phrases} phrases, "
           f"word threshold {args.word_threshold}")
 
-    def numpy_scorer(q_cp, q_off, idx, threshold):
-        return _scoring.greedy_counts_numpy(q_cp, q_off, idx, threshold)
-
-    results = {}
-    results["numpy"] = run_backend(
-        "numpy", numpy_scorer, phrases, index, args.word_threshold)
-
-    if _scoring._greedy_counts_jit is None:
-        print(" numba: unavailable (not installed or disabled via "
-              f"{_scoring.ENV_FLAG}=0)")
-        return
-
-    def numba_scorer(q_cp, q_off, idx, threshold):
-        return _scoring._greedy_counts_jit(
-            q_cp, q_off, idx.cp, idx.cp_off, idx.lem_off, threshold)
-
-    numba_scorer(*phrases[0], index, args.word_threshold)  # warm the jit
-    results["numba"] = run_backend(
-        "numba", numba_scorer, phrases, index, args.word_threshold)
-
-    assert results["numpy"][1] == results["numba"][1], "backends disagree"
-    speedup = results["numpy"][0] / results["numba"][0]
-    print(f"speedup: {speedup:.1f}x (numba over numpy)")
+    started = time.perf_counter()
+    index = _scoring.CompiledLabelIndex(LabelIndex(tuple(
+        IndexEntry(f"c:{j}", f"label {j}", seq) for j, seq in enumerate(entries))))
+    compiled = time.perf_counter()
+    checksum = 0
+    for seq in phrases:
+        m, _ = _scoring.score_counts(index, seq, args.word_threshold)
+        checksum += int(m.sum())
+    scored = time.perf_counter()
+    print(f"compile: {compiled - started:8.3f} s")
+    print(f"  score: {scored - compiled:8.3f} s   (checksum {checksum})")
 
 
 if __name__ == "__main__":

@@ -1,194 +1,84 @@
-"""Batch kernels for phrase-against-index fuzzy scoring.
+"""The packed label index and the scorer that matches phrases against it.
 
 Matching a phrase means greedily pairing its lemmas with every label's
 lemmas at character-set granularity, for every entry of the label index.
-That inner loop dominates runtime on real ontologies, so it is packed into
-flat codepoint arrays and run through one of two interchangeable backends:
-
-* ``numba`` — an ``@njit`` kernel over the packed arrays (default when
-  numba imports);
-* ``numpy`` — a vectorized fallback that builds a character-incidence
-  matrix and gets all pairwise intersection counts from one matmul.
-
-Set ``ONTO_ENRICH_NUMBA=0`` to force the numpy path. Both backends produce
-bit-identical (matched count, denominator) pairs; see
-benchmarks/bench_matching.py for a speed comparison.
+``CompiledLabelIndex`` packs the index once into a lemma-by-character
+incidence matrix; ``score_counts`` then pairs one phrase lemma at a time
+across all entries with array operations, so no Python loop runs per entry.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "ONTO_ENRICH_NUMBA"
+from .errors import EmptySequenceError
+from .ontology import IndexEntry, LabelIndex
+from .textnorm import LemmaSequence
 
 
-def _env_allows_numba() -> bool:
-    return os.environ.get(ENV_FLAG, "1").strip().lower() not in ("0", "false", "no", "off")
+class CompiledLabelIndex:
+    """A LabelIndex packed once for batch scoring of many phrases.
 
-
-def encode_sequence(lemmas: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack one lemma sequence: sorted distinct codepoints per lemma, flat.
-
-    Returns (codepoints int32, offsets int64) with ``offsets[i]:offsets[i+1]``
-    slicing lemma ``i``.
+    The lemmas of all entries are numbered in order; entry ``j`` owns lemmas
+    ``starts[j]`` to ``starts[j] + lengths[j] - 1``. Row ``k`` of
+    ``incidence`` holds 1 in column ``columns[c]`` for each distinct
+    character ``c`` of lemma ``k``, and ``sizes[k]`` counts them. ``rank``
+    orders the entries by (lemma count, iri, label), the tie-break between
+    equally scored labels.
     """
-    offsets = np.zeros(len(lemmas) + 1, dtype=np.int64)
-    chunks = []
-    for i, lemma in enumerate(lemmas):
-        cps = sorted({ord(c) for c in lemma})
-        chunks.extend(cps)
-        offsets[i + 1] = len(chunks)
-    return np.asarray(chunks, dtype=np.int32), offsets
+
+    def __init__(self, index: LabelIndex):
+        self.entries: tuple[IndexEntry, ...] = index.entries
+        entries = self.entries
+        for entry in entries:
+            # an entry without lemmas would leave reduceat an empty segment
+            if not entry.lemmas:
+                raise EmptySequenceError(
+                    f"index entry {entry.label!r} of <{entry.iri}> has no lemmas")
+        lemma_sets = [set(lemma) for entry in entries for lemma in entry.lemmas]
+        self.columns = {c: i for i, c in enumerate(sorted(set().union(*lemma_sets)))}
+        self.incidence = np.zeros((len(lemma_sets), len(self.columns)), dtype=np.uint8)
+        self.incidence[[k for k, chars in enumerate(lemma_sets) for _ in chars],
+                       [self.columns[c] for chars in lemma_sets for c in chars]] = 1
+        self.sizes = np.array([len(chars) for chars in lemma_sets], dtype=np.int64)
+        self.lengths = np.array([len(e.lemmas) for e in entries], dtype=np.int64)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.owner = np.repeat(np.arange(len(entries)), self.lengths)
+        order = sorted(range(len(entries)), key=lambda j: (
+            len(entries[j].lemmas), entries[j].iri, entries[j].label))
+        self.rank = np.empty(len(order), dtype=np.int64)
+        self.rank[order] = np.arange(len(order))
+
+    @classmethod
+    def compile(cls, index: "LabelIndex | CompiledLabelIndex") -> "CompiledLabelIndex":
+        if isinstance(index, CompiledLabelIndex):
+            return index
+        return cls(index)
 
 
-def _greedy_counts_loops(q_cp, q_off, e_cp, e_cp_off, e_lem_off, word_threshold):
+def score_counts(index: CompiledLabelIndex, seq: LemmaSequence, word_threshold: float):
     """Greedy fuzzy-match counts of one phrase against every index entry.
 
     Phrase lemmas are taken in order; each pairs with the unused entry lemma
     of maximal character Jaccard among those clearing ``word_threshold``,
-    earliest position winning ties. Returns per-entry arrays (m, d): matched
-    pair count and |A| + |B| - m.
+    earliest position winning ties. Returns per-entry int arrays (m, d): the
+    matched pair count and |A| + |B| - m.
     """
-    n_entries = e_lem_off.size - 1
-    m_out = np.zeros(n_entries, dtype=np.int64)
-    d_out = np.zeros(n_entries, dtype=np.int64)
-    na = q_off.size - 1
-    for j in range(n_entries):
-        lem_lo = e_lem_off[j]
-        nb = e_lem_off[j + 1] - lem_lo
-        taken = np.zeros(nb, dtype=np.bool_)
-        m = 0
-        for i in range(na):
-            a_lo = q_off[i]
-            a_hi = q_off[i + 1]
-            best_k = -1
-            best_cj = -1.0
-            for k in range(nb):
-                if taken[k]:
-                    continue
-                b_lo = e_cp_off[lem_lo + k]
-                b_hi = e_cp_off[lem_lo + k + 1]
-                inter = 0
-                x = a_lo
-                y = b_lo
-                while x < a_hi and y < b_hi:
-                    if q_cp[x] == e_cp[y]:
-                        inter += 1
-                        x += 1
-                        y += 1
-                    elif q_cp[x] < e_cp[y]:
-                        x += 1
-                    else:
-                        y += 1
-                union = (a_hi - a_lo) + (b_hi - b_lo) - inter
-                cj = 1.0 if union == 0 else inter / union
-                if cj >= word_threshold and cj > best_cj:
-                    best_cj = cj
-                    best_k = k
-            if best_k >= 0:
-                taken[best_k] = True
-                m += 1
-        m_out[j] = m
-        d_out[j] = na + nb - m
-    return m_out, d_out
-
-
-if _env_allows_numba():
-    try:
-        from numba import njit
-        _greedy_counts_jit = njit(cache=True, nogil=True)(_greedy_counts_loops)
-        BACKEND = "numba"
-    except ImportError:
-        _greedy_counts_jit = None
-        BACKEND = "numpy"
-else:
-    _greedy_counts_jit = None
-    BACKEND = "numpy"
-
-
-class ScoringIndex:
-    """Label index packed for batch scoring; shared by both backends."""
-
-    def __init__(self, sequences: list[tuple[str, ...]]):
-        cp_chunks: list[int] = []
-        cp_off = [0]
-        lem_off = [0]
-        for seq in sequences:
-            for lemma in seq:
-                cp_chunks.extend(sorted({ord(c) for c in lemma}))
-                cp_off.append(len(cp_chunks))
-            lem_off.append(len(cp_off) - 1)
-        self.cp = np.asarray(cp_chunks, dtype=np.int32)
-        self.cp_off = np.asarray(cp_off, dtype=np.int64)
-        self.lem_off = np.asarray(lem_off, dtype=np.int64)
-        self.n_entries = len(sequences)
-        self.n_lemmas = len(cp_off) - 1
-        self._numpy_pack: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def numpy_pack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(alphabet, incidence matrix, lemma set sizes) for the numpy path."""
-        if self._numpy_pack is None:
-            alphabet = np.unique(self.cp)
-            mat = np.zeros((self.n_lemmas, alphabet.size), dtype=np.int64)
-            sizes = np.diff(self.cp_off)
-            for i in range(self.n_lemmas):
-                cps = self.cp[self.cp_off[i]:self.cp_off[i + 1]]
-                mat[i, np.searchsorted(alphabet, cps)] = 1
-            self._numpy_pack = (alphabet, mat, sizes)
-        return self._numpy_pack
-
-
-def greedy_counts_numpy(q_cp, q_off, index: ScoringIndex, word_threshold: float):
-    """Numpy fallback: same contract and results as the jitted kernel."""
-    alphabet, emat, b_sizes = index.numpy_pack()
-    na = q_off.size - 1
-    pmat = np.zeros((na, alphabet.size), dtype=np.int64)
-    a_sizes = np.diff(q_off)
-    for i in range(na):
-        cps = q_cp[q_off[i]:q_off[i + 1]]
-        pos = np.searchsorted(alphabet, cps)
-        # codepoints absent from the index alphabet intersect nothing
-        inside = (pos < alphabet.size)
-        pos = pos[inside]
-        hit = alphabet[pos] == cps[inside]
-        pmat[i, pos[hit]] = 1
-    inter = pmat @ emat.T  # (na, n_lemmas) pairwise intersection sizes
-    union = a_sizes[:, None] + b_sizes[None, :] - inter
-    with np.errstate(invalid="ignore"):
-        cj = np.where(union > 0, inter / np.where(union > 0, union, 1), 1.0)
-
-    m_out = np.zeros(index.n_entries, dtype=np.int64)
-    d_out = np.zeros(index.n_entries, dtype=np.int64)
-    lem_off = index.lem_off
-    for j in range(index.n_entries):
-        lem_lo = int(lem_off[j])
-        nb = int(lem_off[j + 1]) - lem_lo
-        taken = [False] * nb
-        m = 0
-        for i in range(na):
-            best_k = -1
-            best_cj = -1.0
-            row = cj[i]
-            for k in range(nb):
-                if taken[k]:
-                    continue
-                v = row[lem_lo + k]
-                if v >= word_threshold and v > best_cj:
-                    best_cj = v
-                    best_k = k
-            if best_k >= 0:
-                taken[best_k] = True
-                m += 1
-        m_out[j] = m
-        d_out[j] = na + nb - m
-    return m_out, d_out
-
-
-def score_counts(q_cp, q_off, index: ScoringIndex, word_threshold: float):
-    """Dispatch to the active backend; floats never leave this as scores."""
-    if _greedy_counts_jit is not None:
-        return _greedy_counts_jit(
-            q_cp, q_off, index.cp, index.cp_off, index.lem_off, word_threshold)
-    return greedy_counts_numpy(q_cp, q_off, index, word_threshold)
+    n_lemmas = index.sizes.size
+    positions = np.arange(n_lemmas)
+    taken = np.zeros(n_lemmas, dtype=bool)
+    m = np.zeros(len(index.entries), dtype=np.int64)
+    for lemma in seq:
+        chars = set(lemma)
+        # characters outside the index alphabet intersect nothing
+        inter = index.incidence[:, [index.columns[c] for c in chars if c in index.columns]].sum(axis=1)
+        union = len(chars) + index.sizes - inter
+        cj = np.divide(inter, union, out=np.ones(n_lemmas), where=union > 0)
+        cj[taken | (cj < word_threshold)] = -1.0
+        best = np.maximum.reduceat(cj, index.starts)
+        first = np.minimum.reduceat(
+            np.where(cj == best[index.owner], positions, n_lemmas), index.starts)
+        paired = best >= 0.0
+        taken[first[paired]] = True
+        m += paired
+    return m, len(seq) + index.lengths - m

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _scoring
+from ._scoring import CompiledLabelIndex
 from .corpus import MarkedPhrase, Question
 from .errors import EmptySequenceError
-from .ontology import IndexEntry, LabelIndex
+from .ontology import LabelIndex
 from .textnorm import LemmaSequence, Lexicon, Stoplist, normalize_phrase
 
 
@@ -87,20 +90,6 @@ def seq_similarity(a: LemmaSequence, b: LemmaSequence, word_threshold: float) ->
     return m / (len(a) + len(b) - m)
 
 
-class CompiledLabelIndex:
-    """A LabelIndex packed once for batch scoring of many phrases."""
-
-    def __init__(self, index: LabelIndex):
-        self.entries: tuple[IndexEntry, ...] = index.entries
-        self.scoring = _scoring.ScoringIndex([e.lemmas for e in index.entries])
-
-    @classmethod
-    def compile(cls, index: "LabelIndex | CompiledLabelIndex") -> "CompiledLabelIndex":
-        if isinstance(index, CompiledLabelIndex):
-            return index
-        return cls(index)
-
-
 def match_phrase(
     phrase: MarkedPhrase,
     seq: LemmaSequence,
@@ -117,36 +106,15 @@ def match_phrase(
     compiled = CompiledLabelIndex.compile(index)
     if not compiled.entries:
         return None
-    q_cp, q_off = _scoring.encode_sequence(seq)
-    m_arr, d_arr = _scoring.score_counts(q_cp, q_off, compiled.scoring, config.word_threshold)
-
-    best = -1
-    best_m = 0
-    best_d = 1
-    for j, entry in enumerate(compiled.entries):
-        m = int(m_arr[j])
-        d = int(d_arr[j])
-        if m / d < config.seq_threshold:
-            continue
-        if best >= 0:
-            # exact fraction comparison: m/d vs best_m/best_d
-            lhs = m * best_d
-            rhs = best_m * d
-            if lhs < rhs:
-                continue
-            if lhs == rhs:
-                prev = compiled.entries[best]
-                if (len(entry.lemmas), entry.iri, entry.label) >= (
-                        len(prev.lemmas), prev.iri, prev.label):
-                    continue
-        best = j
-        best_m = m
-        best_d = d
-    if best < 0:
+    m, d = _scoring.score_counts(compiled, seq, config.word_threshold)
+    score = m / d
+    best = score.max()
+    if best < config.seq_threshold:
         return None
-    chosen = compiled.entries[best]
-    return ConceptMatch(
-        phrase.question_id, phrase, chosen.iri, chosen.label, best_m / best_d)
+    # m and d are small integers, so equal fractions give equal floats and
+    # different fractions different floats: == finds the exact ties
+    chosen = compiled.entries[int(np.argmin(np.where(score == best, compiled.rank, score.size)))]
+    return ConceptMatch(phrase.question_id, phrase, chosen.iri, chosen.label, float(best))
 
 
 def match_question(

@@ -2,7 +2,9 @@
 
 The all-pairs shortest-path oracle is a straight Floyd-Warshall over a dense
 numpy matrix — deliberately nothing like the package's BFS, so the two can
-check each other.
+check each other. The greedy pairing oracle scores one phrase against every
+entry with plain per-entry loops over sorted codepoint arrays, where the
+package's scorer works on all entries at once.
 """
 
 from __future__ import annotations
@@ -56,3 +58,81 @@ def random_typed_graph(rng, max_nodes: int = 50, edge_prob: float = 0.1) -> Onto
                 subject, obj = (nodes[i], nodes[j]) if rng.random() < 0.5 else (nodes[j], nodes[i])
                 triples.append((subject, predicate, obj))
     return build_graph(triples, hierarchical_predicates={"p:hier"})
+
+
+def pack_lemmas(sequences: list[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct codepoints of every lemma of ``sequences``, flat.
+
+    Returns (codepoints, lemma offsets, sequence offsets): lemma ``k`` is
+    ``codepoints[cp_off[k]:cp_off[k + 1]]`` and sequence ``j`` owns lemmas
+    ``lem_off[j]`` to ``lem_off[j + 1] - 1``.
+    """
+    cp: list[int] = []
+    cp_off = [0]
+    lem_off = [0]
+    for seq in sequences:
+        for lemma in seq:
+            cp.extend(sorted({ord(c) for c in lemma}))
+            cp_off.append(len(cp))
+        lem_off.append(len(cp_off) - 1)
+    return (np.asarray(cp, dtype=np.int32), np.asarray(cp_off, dtype=np.int64),
+            np.asarray(lem_off, dtype=np.int64))
+
+
+def greedy_counts_loops(q_cp, q_off, e_cp, e_cp_off, e_lem_off, word_threshold):
+    """Greedy fuzzy-match counts of one phrase against every index entry.
+
+    Phrase lemmas are taken in order; each pairs with the unused entry lemma
+    of maximal character Jaccard among those clearing ``word_threshold``,
+    earliest position winning ties. Returns per-entry arrays (m, d): matched
+    pair count and |A| + |B| - m.
+    """
+    n_entries = e_lem_off.size - 1
+    m_out = np.zeros(n_entries, dtype=np.int64)
+    d_out = np.zeros(n_entries, dtype=np.int64)
+    na = q_off.size - 1
+    for j in range(n_entries):
+        lem_lo = e_lem_off[j]
+        nb = e_lem_off[j + 1] - lem_lo
+        taken = np.zeros(nb, dtype=np.bool_)
+        m = 0
+        for i in range(na):
+            a_lo = q_off[i]
+            a_hi = q_off[i + 1]
+            best_k = -1
+            best_cj = -1.0
+            for k in range(nb):
+                if taken[k]:
+                    continue
+                b_lo = e_cp_off[lem_lo + k]
+                b_hi = e_cp_off[lem_lo + k + 1]
+                inter = 0
+                x = a_lo
+                y = b_lo
+                while x < a_hi and y < b_hi:
+                    if q_cp[x] == e_cp[y]:
+                        inter += 1
+                        x += 1
+                        y += 1
+                    elif q_cp[x] < e_cp[y]:
+                        x += 1
+                    else:
+                        y += 1
+                union = (a_hi - a_lo) + (b_hi - b_lo) - inter
+                cj = 1.0 if union == 0 else inter / union
+                if cj >= word_threshold and cj > best_cj:
+                    best_cj = cj
+                    best_k = k
+            if best_k >= 0:
+                taken[best_k] = True
+                m += 1
+        m_out[j] = m
+        d_out[j] = na + nb - m
+    return m_out, d_out
+
+
+def reference_counts(phrase: tuple[str, ...], entries: list[tuple[str, ...]],
+                     word_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """``greedy_counts_loops`` of a phrase against lemma sequences."""
+    q_cp, q_off, _ = pack_lemmas([phrase])
+    return greedy_counts_loops(q_cp, q_off, *pack_lemmas(entries), word_threshold)

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import EmptySequenceError
@@ -14,6 +17,7 @@ from onto_enrich.matcher import (
 )
 from onto_enrich.ontology import IndexEntry, LabelIndex
 from onto_enrich.textnorm import Lexicon, Stoplist
+from oracles import reference_counts
 
 
 def _phrase(raw: str, qid: str = "q1", ordinal: int = 0) -> MarkedPhrase:
@@ -22,6 +26,33 @@ def _phrase(raw: str, qid: str = "q1", ordinal: int = 0) -> MarkedPhrase:
 
 def _index(*entries: tuple[str, str, tuple[str, ...]]) -> LabelIndex:
     return LabelIndex(tuple(IndexEntry(*e) for e in entries))
+
+
+# A few overlapping lemmas, three IRIs and short sequences: equal scores from
+# different fractions (1/2 and 2/4) and shared IRIs come up often
+TIE_VOCAB = ["aa", "ab", "abc", "bc", "лин", "линия"]
+tie_sequences = st.lists(st.sampled_from(TIE_VOCAB), min_size=1, max_size=4).map(tuple)
+tie_entries = st.lists(
+    st.tuples(st.sampled_from(["c:a", "c:b", "c:c"]), st.sampled_from(["x", "y", "z"]),
+              tie_sequences),
+    max_size=10, unique_by=lambda e: e[:2])
+tie_configs = st.builds(
+    MatchConfig,
+    st.sampled_from([0.0, 0.5, 0.75, 1.0]),
+    st.one_of(st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 1.0]), st.floats(0.0, 1.0)))
+
+
+def _brute_force_match(seq, entries, config):
+    """(entry, exact score) of the best label, or None below seq_threshold."""
+    m, d = reference_counts(seq, [e.lemmas for e in entries], config.word_threshold)
+    scored = [(Fraction(int(mj), int(dj)), e) for mj, dj, e in zip(m, d, entries)
+              if mj / dj >= config.seq_threshold]
+    if not scored:
+        return None
+    top = max(score for score, _ in scored)
+    best = min((e for score, e in scored if score == top),
+               key=lambda e: (len(e.lemmas), e.iri, e.label))
+    return best, top
 
 
 class TestCharJaccard:
@@ -159,6 +190,25 @@ class TestMatchPhrase:
                 assert match.concept_iri == best[1].iri
                 assert match.matched_label == best[1].label
                 assert match.score == best[2]
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_sequences, tie_entries, tie_configs)
+    # 1/2 == 2/4 at exactly seq_threshold; 1/3 == 2/6 between labels of one IRI
+    @example(("aa", "abc"), [("c:b", "x", ("aa",)), ("c:a", "y", ("aa", "abc", "bc", "лин"))],
+             MatchConfig(1.0, 0.5))
+    @example(("aa", "ab", "abc"), [("c:a", "y", ("aa", "ab", "лин", "bc", "линия")),
+                                   ("c:a", "x", ("ab",))], MatchConfig(1.0, 0.0))
+    def test_agrees_with_fraction_brute_force(self, seq, entries, config):
+        index = _index(*entries)
+        match = match_phrase(_phrase(" ".join(seq)), seq, index, config)
+        expected = _brute_force_match(seq, index.entries, config)
+        if expected is None:
+            assert match is None
+        else:
+            entry, score = expected
+            assert (match.concept_iri, match.matched_label) == (entry.iri, entry.label)
+            assert match.score == float(score)
 
 
 class TestMatchQuestion:

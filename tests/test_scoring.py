@@ -1,180 +1,126 @@
-"""Backend equivalence for the batch scoring kernels.
+"""Properties of the packed label index and its scorer.
 
-The jitted kernel, its plain-Python source and the vectorized numpy fallback
-must produce identical integer (m, d) outputs for any input, so reports never
-depend on which backend happened to be active.
+``score_counts`` pairs a phrase with all entries at once; its integer (m, d)
+outputs must equal those of the per-entry loop reference in ``oracles`` and
+give m / d == seq_similarity for every entry, so reports never depend on how
+the pairing is computed.
 """
 
-import json
-import os
-import random
-import subprocess
-import sys
+from collections import Counter
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onto_enrich import _scoring
+from onto_enrich._scoring import CompiledLabelIndex, score_counts
+from onto_enrich.errors import EmptySequenceError
 from onto_enrich.matcher import seq_similarity
+from onto_enrich.ontology import IndexEntry, LabelIndex
+from oracles import reference_counts
 
-WORDS = ["triangle", "triangles", "line", "middle", "angle", "угол", "a", "zzz", "b2"]
+# Latin, Cyrillic and a non-BMP letter: few enough that lemmas overlap
+# often, varied enough to cover non-ASCII codepoints
+INDEX_ALPHABET = "abcdeлинуг\U0001d49c"
+OUTSIDE_ALPHABET = "zé\uffff"
+
+lemmas = st.text(INDEX_ALPHABET, min_size=1, max_size=6)
+sequences = st.lists(lemmas, min_size=1, max_size=5).map(tuple)
+entry_lists = st.lists(sequences, min_size=1, max_size=12)
+thresholds = st.one_of(st.sampled_from([0.0, 0.5, 0.75, 1.0]),
+                       st.floats(0.0, 1.0, allow_nan=False))
+# each lemma carries at least one codepoint the index never contains
+outside_lemmas = st.tuples(lemmas, st.text(OUTSIDE_ALPHABET, min_size=1, max_size=3)).map("".join)
+outside_sequences = st.lists(outside_lemmas, min_size=1, max_size=4).map(tuple)
+
+SETTINGS = settings(max_examples=200, deadline=None)
 
 
-def _random_seq(rng, max_len=5):
-    return tuple(rng.choice(WORDS) for _ in range(rng.randint(1, max_len)))
+def _compile(entries):
+    return CompiledLabelIndex(LabelIndex(tuple(
+        IndexEntry(f"c:{j}", f"label {j}", seq) for j, seq in enumerate(entries))))
 
 
-def _all_backends(q_cp, q_off, index, threshold):
-    results = {
-        "loops": _scoring._greedy_counts_loops(
-            q_cp, q_off, index.cp, index.cp_off, index.lem_off, threshold),
-        "numpy": _scoring.greedy_counts_numpy(q_cp, q_off, index, threshold),
-    }
-    if _scoring._greedy_counts_jit is not None:
-        results["numba"] = _scoring._greedy_counts_jit(
-            q_cp, q_off, index.cp, index.cp_off, index.lem_off, threshold)
-    return results
+def _assert_matches_reference(phrase, entries, threshold):
+    m, d = score_counts(_compile(entries), phrase, threshold)
+    ref_m, ref_d = reference_counts(phrase, entries, threshold)
+    assert m.tolist() == ref_m.tolist()
+    assert d.tolist() == ref_d.tolist()
 
 
 class TestEncoding:
     def test_encode_sequence(self):
-        cp, off = _scoring.encode_sequence(("ba", "aab"))
-        assert off.tolist() == [0, 2, 4]
-        assert cp.tolist() == [ord("a"), ord("b"), ord("a"), ord("b")]
+        index = _compile([("ba", "aab")])
+        assert index.columns == {"a": 0, "b": 1}
+        assert index.incidence.tolist() == [[1, 1], [1, 1]]
+        assert index.sizes.tolist() == [2, 2]
 
     def test_encode_empty(self):
-        cp, off = _scoring.encode_sequence(())
-        assert cp.size == 0
-        assert off.tolist() == [0]
+        index = _compile([])
+        assert index.incidence.shape == (0, 0)
+        assert index.lengths.size == 0 and index.rank.size == 0
 
     def test_index_shape(self):
-        index = _scoring.ScoringIndex([("ab",), ("a", "b")])
-        assert index.n_entries == 2
-        assert index.lem_off.tolist() == [0, 1, 3]
+        index = _compile([("ab",), ("a", "b")])
+        assert index.starts.tolist() == [0, 1]
+        assert index.owner.tolist() == [0, 1, 1]
+        assert index.incidence.tolist() == [[1, 1], [1, 0], [0, 1]]
+        # rank orders by lemma count first
+        assert index.rank.tolist() == [0, 1]
 
 
 class TestBackendEquivalence:
     def test_worked_example(self):
-        index = _scoring.ScoringIndex([("triangle", "middle", "line"), ("line",)])
-        q_cp, q_off = _scoring.encode_sequence(("middle", "line"))
-        for name, (m, d) in _all_backends(q_cp, q_off, index, 0.75).items():
-            assert m.tolist() == [2, 1], name
-            assert d.tolist() == [3, 2], name
+        index = _compile([("triangle", "middle", "line"), ("line",)])
+        m, d = score_counts(index, ("middle", "line"), 0.75)
+        assert m.tolist() == [2, 1]
+        assert d.tolist() == [3, 2]
 
-    def test_random_inputs_agree(self):
-        rng = random.Random(101)
-        for _ in range(30):
-            entries = [_random_seq(rng) for _ in range(rng.randint(1, 12))]
-            index = _scoring.ScoringIndex(entries)
-            q_cp, q_off = _scoring.encode_sequence(_random_seq(rng))
-            threshold = rng.choice([0.0, 0.3, 0.75, 0.9, 1.0])
-            results = _all_backends(q_cp, q_off, index, threshold)
-            baseline = results.pop("loops")
-            for name, got in results.items():
-                assert got[0].tolist() == baseline[0].tolist(), name
-                assert got[1].tolist() == baseline[1].tolist(), name
+    @SETTINGS
+    @given(sequences, entry_lists, thresholds)
+    def test_random_inputs_agree(self, phrase, entries, threshold):
+        _assert_matches_reference(phrase, entries, threshold)
 
-    def test_matches_scalar_seq_similarity(self):
-        rng = random.Random(103)
-        for _ in range(50):
-            entries = [_random_seq(rng) for _ in range(rng.randint(1, 8))]
-            index = _scoring.ScoringIndex(entries)
-            phrase = _random_seq(rng)
-            q_cp, q_off = _scoring.encode_sequence(phrase)
-            threshold = rng.random()
-            m, d = _scoring.greedy_counts_numpy(q_cp, q_off, index, threshold)
-            for j, entry in enumerate(entries):
-                assert m[j] / d[j] == seq_similarity(phrase, entry, threshold)
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    @SETTINGS
+    @given(phrase=sequences, entries=entry_lists)
+    def test_threshold_bounds(self, phrase, entries, threshold):
+        _assert_matches_reference(phrase, entries, threshold)
+        m, _ = score_counts(_compile(entries), phrase, threshold)
+        for j, entry in enumerate(entries):
+            if threshold == 0.0:
+                # every lemma pair clears 0: pairing stops when a side runs out
+                assert m[j] == min(len(phrase), len(entry))
+            else:
+                # only lemmas with equal character sets pair, one to one
+                a = Counter(frozenset(lemma) for lemma in phrase)
+                b = Counter(frozenset(lemma) for lemma in entry)
+                assert m[j] == sum((a & b).values())
 
-    def test_empty_phrase(self):
-        index = _scoring.ScoringIndex([("line",), ("a", "b")])
-        q_cp, q_off = _scoring.encode_sequence(())
-        for name, (m, d) in _all_backends(q_cp, q_off, index, 0.5).items():
-            assert m.tolist() == [0, 0], name
-            assert d.tolist() == [1, 2], name
+    @SETTINGS
+    @given(sequences, entry_lists, thresholds)
+    def test_matches_scalar_seq_similarity(self, phrase, entries, threshold):
+        m, d = score_counts(_compile(entries), phrase, threshold)
+        for j, entry in enumerate(entries):
+            assert m[j] / d[j] == seq_similarity(phrase, entry, threshold)
 
-    def test_empty_index(self):
-        index = _scoring.ScoringIndex([])
-        q_cp, q_off = _scoring.encode_sequence(("line",))
-        for name, (m, d) in _all_backends(q_cp, q_off, index, 0.5).items():
-            assert m.size == 0 and d.size == 0, name
+    @SETTINGS
+    @given(entry_lists, thresholds)
+    def test_empty_phrase(self, entries, threshold):
+        m, d = score_counts(_compile(entries), (), threshold)
+        assert m.tolist() == [0] * len(entries)
+        assert d.tolist() == [len(e) for e in entries]
 
-    def test_phrase_codepoints_outside_index_alphabet(self):
-        index = _scoring.ScoringIndex([("abc",)])
-        q_cp, q_off = _scoring.encode_sequence(("azzz￿",))
-        for name, (m, d) in _all_backends(q_cp, q_off, index, 0.0).items():
-            # inter {a} = 1, union 5: pairs at threshold 0, m = 1
-            assert m.tolist() == [1], name
+    @SETTINGS
+    @given(sequences, thresholds)
+    def test_empty_index(self, phrase, threshold):
+        m, d = score_counts(_compile([]), phrase, threshold)
+        assert m.size == 0 and d.size == 0
 
+    @SETTINGS
+    @given(outside_sequences, entry_lists, thresholds)
+    def test_phrase_codepoints_outside_index_alphabet(self, phrase, entries, threshold):
+        _assert_matches_reference(phrase, entries, threshold)
 
-# Imports _scoring in a fresh interpreter and reports which backend it
-# chose, plus whether numba itself imports there (checked afterwards, so the
-# probe cannot change what _scoring saw). With hide_numba, numba is made
-# unimportable before _scoring loads, as on a machine without it.
-_BACKEND_PROBE = """
-import json, sys
-if {hide_numba}:
-    sys.modules["numba"] = None
-from onto_enrich import _scoring
-try:
-    import numba
-    numba_imports = True
-except ImportError:
-    numba_imports = False
-print(json.dumps([_scoring.BACKEND, _scoring._greedy_counts_jit is None, numba_imports]))
-"""
-
-
-def _probe_backend(flag_value, hide_numba=False):
-    env = dict(os.environ, **{_scoring.ENV_FLAG: flag_value})
-    code = _BACKEND_PROBE.format(hide_numba=hide_numba)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    return json.loads(out.stdout)
-
-
-class TestBackendSelection:
-    @pytest.mark.skipif(not _scoring._env_allows_numba(),
-                        reason="numba disabled by environment")
-    def test_default_backend_is_numba_here(self):
-        # an installed numba that fails to import also means the numpy fallback
-        pytest.importorskip("numba", reason="numba does not import; numpy fallback active",
-                            exc_type=ImportError)
-        assert _scoring.BACKEND == "numba"
-        assert _scoring._greedy_counts_jit is not None
-
-    # expected: the backend the flag selects when numba imports
-    @pytest.mark.parametrize("value,expected", [
-        ("0", "numpy"), ("false", "numpy"), ("off", "numpy"),
-        ("1", "numba"), ("", "numba"),
-    ])
-    def test_env_flag(self, value, expected, monkeypatch):
-        monkeypatch.setenv(_scoring.ENV_FLAG, value)
-        allows = _scoring._env_allows_numba()
-        assert allows == (expected == "numba")
-
-        backend, jit_is_none, numba_imports = _probe_backend(value)
-        uses_numba = allows and numba_imports
-        assert backend == ("numba" if uses_numba else "numpy")
-        assert jit_is_none == (not uses_numba)
-
-        if allows:
-            # the fallback branch, exercised whether or not numba is installed
-            backend, jit_is_none, _ = _probe_backend(value, hide_numba=True)
-            assert backend == "numpy"
-            assert jit_is_none
-
-    def test_numpy_backend_full_pipeline(self, repo_root, tmp_path):
-        # the fallback path must produce the exact golden report
-        out = tmp_path / "report.json"
-        env = dict(os.environ, **{_scoring.ENV_FLAG: "0"})
-        cmd = [
-            sys.executable, "-m", "onto_enrich.cli",
-            "--ontology", "fixtures/ontology.nt",
-            "--corpus", "fixtures/corpus.xml",
-            "--lexicon", "fixtures/lexicon.tsv",
-            "--out", str(out),
-        ]
-        subprocess.run(cmd, cwd=repo_root, env=env, check=True, capture_output=True)
-        golden = (repo_root / "tests" / "golden" / "fixture_report.json").read_bytes()
-        assert out.read_bytes() == golden
+    def test_entry_without_lemmas_rejected(self):
+        with pytest.raises(EmptySequenceError):
+            _compile([("line",), ()])
