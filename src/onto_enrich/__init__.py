@@ -21,12 +21,12 @@ from .corpus import (
     TextSpan,
     extract_phrases,
     parse_corpus,
-    serialize_corpus,
 )
 from .errors import (
     DuplicateQuestionIdError,
     EmptySequenceError,
     InternalInvariantError,
+    InvalidUtf8Error,
     MalformedLexiconLineError,
     MalformedTripleError,
     MalformedXmlError,
@@ -62,18 +62,78 @@ from .pathfinder import (
     EdgeFilter,
     PathResult,
     compare,
+    compare_from,
     enumerate_pairs,
+    paths_from,
     shortest_path,
 )
 from .pipeline import Report, RunConfig, run, serialize_report
 from .textnorm import (
     Lexicon,
     Stoplist,
-    lemmatize,
     load_lexicon,
     load_stoplist,
     normalize_phrase,
     tokenize,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Answer",
+    "AnswerKind",
+    "MarkedPhrase",
+    "MarkedText",
+    "PhraseKind",
+    "PhraseSource",
+    "Question",
+    "QuestionCorpus",
+    "TextSpan",
+    "extract_phrases",
+    "parse_corpus",
+    "DuplicateQuestionIdError",
+    "EmptySequenceError",
+    "InternalInvariantError",
+    "InvalidUtf8Error",
+    "MalformedLexiconLineError",
+    "MalformedTripleError",
+    "MalformedXmlError",
+    "MissingQuestionIdError",
+    "OntoEnrichError",
+    "SelfLoopEdgeError",
+    "UnknownConceptError",
+    "UnterminatedLiteralError",
+    "CompiledLabelIndex",
+    "ConceptMatch",
+    "MatchConfig",
+    "char_jaccard",
+    "match_phrase",
+    "match_question",
+    "seq_similarity",
+    "Concept",
+    "IndexEntry",
+    "Label",
+    "LabelIndex",
+    "Literal",
+    "OntologyGraph",
+    "RelationEdge",
+    "build_graph",
+    "build_label_index",
+    "parse_triples",
+    "ConnectionRecord",
+    "EdgeFilter",
+    "PathResult",
+    "compare",
+    "compare_from",
+    "enumerate_pairs",
+    "paths_from",
+    "shortest_path",
+    "Lexicon",
+    "Stoplist",
+    "load_lexicon",
+    "load_stoplist",
+    "normalize_phrase",
+    "tokenize",
+    "Report",
+    "RunConfig",
+    "run",
+    "serialize_report",
+]

@@ -1,14 +1,22 @@
 """Command line entry point: ``onto-enrich``.
 
 Writes the report to --out, warnings to stderr, and nothing to stdout.
+An --out that cannot be created fails before any input is read; a regular
+--out is written to a temporary file beside it that replaces it only once
+complete.
 Exit codes: 0 success, 1 bad input (unreadable or malformed files, bad
-flags), 2 internal invariant violation.
+flags, unwritable output), 2 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import secrets
+import stat
 import sys
+from contextlib import contextmanager
 
 from .errors import InternalInvariantError, OntoEnrichError
 from .matcher import MatchConfig
@@ -90,10 +98,9 @@ def main(argv: list[str] | None = None) -> int:
             optimal_only=args.optimal_only,
             out=args.out,
         )
-        report = run(config, jobs=args.jobs)
-        payload = serialize_report(report, config.format)
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
+        with _atomic_output(args.out) as handle:
+            report = run(config, jobs=args.jobs)
+            handle.write(serialize_report(report, config.format))
     except InternalInvariantError as exc:
         print(f"onto-enrich: internal error: {exc}", file=sys.stderr)
         return 2
@@ -103,6 +110,50 @@ def main(argv: list[str] | None = None) -> int:
     for warning in report.warnings:
         print(f"onto-enrich: warning: {warning}", file=sys.stderr)
     return 0
+
+
+@contextmanager
+def _atomic_output(out: str):
+    """Open ``out`` for the report now, and yield a handle to write it.
+
+    A regular or missing ``out`` gets a temporary file beside the file it
+    names (through any symlink). On a clean exit the temporary file replaces
+    it; on any failure it is removed, so ``out`` is never left truncated. The
+    temporary file takes the mode of the report it replaces, or 0666 less the
+    umask for a new one, as ``open(out, "wb")`` would. Any other ``out``, such
+    as ``/dev/null`` or a pipe, is opened and written directly.
+    """
+    try:
+        mode = os.stat(out).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(out, "wb") as handle:
+            yield handle
+        return
+    target = os.path.realpath(out)
+    directory, name = os.path.split(target)
+    while True:
+        tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            exc.filename = out  # name the report, not the temporary file
+            raise
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            yield handle
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _predicates(given: list[str] | None, default: tuple[str, ...]) -> tuple[str, ...]:

@@ -52,10 +52,6 @@ class TextSpan:
 class MarkedText:
     spans: tuple[TextSpan, ...]
 
-    def plain(self) -> str:
-        """Content with markup stripped."""
-        return "".join(s.text for s in self.spans)
-
 
 @dataclass(frozen=True)
 class Answer:
@@ -254,36 +250,3 @@ def extract_phrases(question: Question) -> list[MarkedPhrase]:
         if answer.kind is AnswerKind.TEXT:
             emit(answer.body.spans, PhraseSource.ANSWER_TEXT)
     return phrases
-
-
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _escape_attr(text: str) -> str:
-    return _escape(text).replace('"', "&quot;")
-
-
-def _write_marked(spans: tuple[TextSpan, ...]) -> str:
-    out = []
-    for span in spans:
-        if span.term is None:
-            out.append(_escape(span.text))
-        else:
-            tag = "TERM1" if span.term is PhraseKind.NP else "TERM2"
-            out.append(f"<{tag}>{_escape(span.text)}</{tag}>")
-    return "".join(out)
-
-
-def serialize_corpus(corpus: QuestionCorpus) -> bytes:
-    """Canonical UTF-8 serialization; parse_corpus round-trips it exactly."""
-    lines = ['<?xml version="1.0" encoding="utf-8"?>', "<corpus>"]
-    for q in corpus.questions:
-        lines.append(f'  <question id="{_escape_attr(q.id)}">')
-        lines.append(f"    <text>{_write_marked(q.text.spans)}</text>")
-        for a in q.answers:
-            lines.append(
-                f'    <answer kind="{a.kind.value}">{_write_marked(a.body.spans)}</answer>')
-        lines.append("  </question>")
-    lines.append("</corpus>")
-    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -19,6 +19,18 @@ class MalformedXmlError(OntoEnrichError):
         self.column = column
 
 
+class InvalidUtf8Error(OntoEnrichError):
+    """A text input file holds bytes that are not UTF-8.
+
+    ``line`` and ``column`` (in characters) are 1-based.
+    """
+
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"{message} (line {line}, column {column})")
+        self.line = line
+        self.column = column
+
+
 class MissingQuestionIdError(OntoEnrichError):
     """A question element has no id attribute, or an empty one."""
 

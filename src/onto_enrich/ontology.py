@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .errors import MalformedTripleError, SelfLoopEdgeError, UnterminatedLiteralError
-from .textnorm import LemmaSequence, Lexicon, Stoplist, normalize_phrase
+from .textnorm import LemmaSequence, Lexicon, Stoplist, decode_lines, normalize_phrase
 
 DEFAULT_HIERARCHICAL_PREDICATES = frozenset({"rdfs:subClassOf", "ome:hasChild"})
 DEFAULT_LABEL_PREDICATES = frozenset({"rdfs:label"})
@@ -76,6 +76,9 @@ def _scan_literal(line: str, pos: int, lineno: int) -> tuple[Literal, int]:
             i += 2
         elif c == '"':
             i += 1
+            if line.startswith("^^", i):
+                raise MalformedTripleError(
+                    f"datatype literals are not supported ('^^' at column {i + 1})", lineno)
             lang = None
             if i < len(line) and line[i] == "@":
                 j = i + 1
@@ -103,10 +106,11 @@ def parse_triples(data: bytes) -> list[Triple]:
 
     Objects are IRI strings or Literal values (language tag retained). Blank
     lines and ``#`` comment lines are skipped. Raises MalformedTripleError or
-    UnterminatedLiteralError with the 1-based line number.
+    UnterminatedLiteralError with the 1-based line number, InvalidUtf8Error on
+    bytes that are not UTF-8. Datatype literals (``"x"^^<dt>``) are rejected.
     """
     triples: list[Triple] = []
-    for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(decode_lines(data), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -166,9 +170,6 @@ class OntologyGraph:
         """(neighbor iri, predicate iri) pairs in ascending order, undirected."""
         adj = self._adj_hier if hierarchical_only else self._adj_full
         return adj[iri]
-
-    def hierarchical_edges(self) -> tuple[RelationEdge, ...]:
-        return tuple(e for e in self.edges if e.predicate in self.hierarchical_predicates)
 
 
 def build_graph(

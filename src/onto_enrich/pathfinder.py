@@ -1,7 +1,8 @@
 """Shortest connections between matched concepts, hierarchical vs. full.
 
 Both searches are breadth-first over undirected edges (hierarchy links are
-climbed in either direction), capped at a maximum depth. A concept pair is
+climbed in either direction), capped at a maximum depth. One search per
+source concept and edge filter serves all of that source's pairs. A concept pair is
 an "optimal connection" when the shortest path over every relation type is
 strictly shorter than the shortest hierarchical-only path — the signal that
 a direct cross-relation is worth proposing to the ontology experts.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import UnknownConceptError
 from .matcher import ConceptMatch
@@ -50,6 +52,52 @@ class ConnectionRecord:
     question_ids: tuple[str, ...]
 
 
+def paths_from(
+    graph: OntologyGraph,
+    src: str,
+    targets: Iterable[str],
+    edge_filter: EdgeFilter,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> dict[str, PathResult]:
+    """Shortest paths of length <= max_depth from ``src`` to each target.
+
+    One breadth-first search serves every target: it stops once all of them
+    are discovered or the depth cap is reached, and targets out of reach are
+    absent from the result. Edges are traversed as undirected. Among
+    equal-length paths the result is the one BFS reaches first when every
+    node expands its neighbors in ascending (neighbor iri, predicate iri)
+    order, which pins the output byte-for-byte across runs. A node's
+    predecessor is fixed when it is first discovered, so each target gets
+    the same path as a search that stops at that target alone.
+    """
+    targets = list(targets)
+    for iri in (src, *targets):
+        if iri not in graph.concepts:
+            raise UnknownConceptError(f"unknown concept <{iri}>")
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+
+    hier = edge_filter is EdgeFilter.HIERARCHICAL
+    pending = set(targets)
+    pending.discard(src)
+    came_from: dict[str, tuple[str, str]] = {src: ("", "")}
+    frontier = [src]
+    for _ in range(max_depth):
+        if not pending or not frontier:
+            break
+        next_frontier: list[str] = []
+        for node in frontier:
+            for neighbor, predicate in graph.neighbors(node, hierarchical_only=hier):
+                if neighbor not in came_from:
+                    came_from[neighbor] = (node, predicate)
+                    pending.discard(neighbor)
+                    next_frontier.append(neighbor)
+            if not pending:
+                break
+        frontier = next_frontier
+    return {t: _reconstruct(came_from, src, t) for t in targets if t in came_from}
+
+
 def shortest_path(
     graph: OntologyGraph,
     src: str,
@@ -57,39 +105,8 @@ def shortest_path(
     edge_filter: EdgeFilter,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> PathResult | None:
-    """BFS shortest path of length <= max_depth, or None if out of reach.
-
-    Edges are traversed as undirected. Among equal-length paths the result
-    is the one BFS reaches first when every node expands its neighbors in
-    ascending (neighbor iri, predicate iri) order, which pins the output
-    byte-for-byte across runs.
-    """
-    if src not in graph.concepts:
-        raise UnknownConceptError(f"unknown concept <{src}>")
-    if dst not in graph.concepts:
-        raise UnknownConceptError(f"unknown concept <{dst}>")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if src == dst:
-        return PathResult(0, (src,), ())
-
-    hier = edge_filter is EdgeFilter.HIERARCHICAL
-    came_from: dict[str, tuple[str, str]] = {src: ("", "")}
-    frontier = [src]
-    for _ in range(max_depth):
-        next_frontier: list[str] = []
-        for node in frontier:
-            for neighbor, predicate in graph.neighbors(node, hierarchical_only=hier):
-                if neighbor in came_from:
-                    continue
-                came_from[neighbor] = (node, predicate)
-                if neighbor == dst:
-                    return _reconstruct(came_from, src, dst)
-                next_frontier.append(neighbor)
-        if not next_frontier:
-            return None
-        frontier = next_frontier
-    return None
+    """``paths_from`` for one target: its path, or None if out of reach."""
+    return paths_from(graph, src, (dst,), edge_filter, max_depth).get(dst)
 
 
 def _reconstruct(came_from: dict[str, tuple[str, str]], src: str, dst: str) -> PathResult:
@@ -118,22 +135,41 @@ def enumerate_pairs(matches: list[ConceptMatch]) -> list[tuple[str, str, str]]:
     return [(a, b, question_id) for a, b in itertools.combinations(iris, 2)]
 
 
+def compare_from(
+    graph: OntologyGraph,
+    src: str,
+    dsts: Iterable[str],
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> list[ConnectionRecord]:
+    """One record per pair (src, dst), in ``dsts`` order, flagging optimality.
+
+    ``src`` must not sort after any dst, so that it is each pair's
+    ``concept_a``. One hierarchical and one full search from ``src`` serve
+    every pair. ``question_ids`` is left empty here; the pipeline fills it
+    while aggregating pairs across questions.
+    """
+    dsts = list(dsts)
+    if any(dst < src for dst in dsts):
+        raise ValueError(f"every dst must sort at or after src <{src}>")
+    hierarchical = paths_from(graph, src, dsts, EdgeFilter.HIERARCHICAL, max_depth)
+    full = paths_from(graph, src, dsts, EdgeFilter.ALL, max_depth)
+    records = []
+    for dst in dsts:
+        hier_path, full_path = hierarchical.get(dst), full.get(dst)
+        optimal = (
+            hier_path is not None
+            and full_path is not None
+            and full_path.length < hier_path.length
+        )
+        records.append(ConnectionRecord(src, dst, hier_path, full_path, optimal, ()))
+    return records
+
+
 def compare(
     graph: OntologyGraph,
     pair: tuple[str, str],
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> ConnectionRecord:
-    """Run both searches for one pair and flag optimality.
-
-    ``question_ids`` is left empty here; the pipeline fills it while
-    aggregating pairs across questions.
-    """
+    """``compare_from`` for one pair, taken in sorted order."""
     concept_a, concept_b = sorted(pair)
-    hierarchical = shortest_path(graph, concept_a, concept_b, EdgeFilter.HIERARCHICAL, max_depth)
-    full = shortest_path(graph, concept_a, concept_b, EdgeFilter.ALL, max_depth)
-    optimal = (
-        hierarchical is not None
-        and full is not None
-        and full.length < hierarchical.length
-    )
-    return ConnectionRecord(concept_a, concept_b, hierarchical, full, optimal, ())
+    return compare_from(graph, concept_a, (concept_b,), max_depth)[0]

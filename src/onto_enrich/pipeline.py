@@ -2,7 +2,8 @@
 
 Stage order: parse corpus, load lexicon/stoplist, build graph and label
 index, match every question, enumerate co-occurring concept pairs, compare
-hierarchical against full shortest paths once per unique pair, aggregate
+hierarchical against full shortest paths for every unique pair (one search
+per source concept and edge filter), aggregate
 question ids, and emit a deterministically ordered report. Matching and
 pair comparison are pure per-item and may fan out over threads; results are
 re-ordered afterwards so parallel runs serialize byte-identically.
@@ -12,10 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -30,11 +33,14 @@ from .ontology import (
     build_label_index,
     parse_triples,
 )
-from .pathfinder import (
+# compare is not called here; perfbench/tracer.py and perfbench/test_verify.py
+# look up pipeline.compare, until the tracer wraps compare_from instead
+from .pathfinder import (  # noqa: F401
     DEFAULT_MAX_DEPTH,
     ConnectionRecord,
     PathResult,
     compare,
+    compare_from,
     enumerate_pairs,
 )
 from .textnorm import DEFAULT_STOPLIST, Lexicon, load_lexicon, load_stoplist
@@ -153,16 +159,26 @@ def _match_all(corpus, compiled, lexicon, stoplist, match_config, jobs):
 
 
 def _compare_all(graph, pair_questions, max_depth, jobs):
-    pairs = sorted(pair_questions)
+    # pairs sort by concept_a, so each group is one source's searches
+    groups = [
+        (src, [b for _, b in pairs])
+        for src, pairs in itertools.groupby(sorted(pair_questions), key=itemgetter(0))
+    ]
 
-    def one(pair):
-        record = compare(graph, pair, max_depth)
-        return replace(record, question_ids=tuple(sorted(pair_questions[pair])))
+    def one(group):
+        return compare_from(graph, *group, max_depth)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, pairs))
-    return [one(p) for p in pairs]
+            per_source = list(pool.map(one, groups))
+    else:
+        per_source = [one(g) for g in groups]
+    return [
+        replace(record, question_ids=tuple(
+            sorted(pair_questions[record.concept_a, record.concept_b])))
+        for records in per_source
+        for record in records
+    ]
 
 
 def _check_path(record, path, edges):

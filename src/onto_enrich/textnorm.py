@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import MalformedLexiconLineError
+from .errors import InvalidUtf8Error, MalformedLexiconLineError
 
 # A lemma sequence is an ordered tuple of case-folded lemma forms.
 LemmaSequence = tuple[str, ...]
@@ -72,11 +72,6 @@ DEFAULT_STOPLIST = Stoplist(frozenset({
 }))
 
 
-def lemmatize(token: str, lexicon: Lexicon) -> str:
-    """Normal form of ``token``: the lexicon entry, or the token itself."""
-    return lexicon.lemma(token)
-
-
 def normalize_phrase(text: str, lexicon: Lexicon, stoplist: Stoplist) -> LemmaSequence:
     """Tokenize, lemmatize, then drop stoplisted lemma forms.
 
@@ -91,15 +86,32 @@ def normalize_phrase(text: str, lexicon: Lexicon, stoplist: Stoplist) -> LemmaSe
     )
 
 
+def decode_lines(data: bytes) -> list[str]:
+    """UTF-8 ``data`` split into lines as ``str.splitlines`` splits them.
+
+    Raises InvalidUtf8Error naming the line and column of the first byte
+    that does not decode.
+    """
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # a sentinel that is no line break makes the last line the bad one
+        lines = (data[:exc.start].decode("utf-8") + "\0").splitlines()
+        raise InvalidUtf8Error(
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}", len(lines), len(lines[-1])
+        ) from None
+
+
 def load_lexicon(data: bytes) -> Lexicon:
     """Parse a lexicon file: UTF-8 TSV, ``surface<TAB>lemma`` per line.
 
     Blank lines and lines starting with ``#`` are skipped. Later duplicate
     surfaces override earlier ones. Raises MalformedLexiconLineError with the
-    1-based line number on anything else.
+    1-based line number on anything else, InvalidUtf8Error on bytes that are
+    not UTF-8.
     """
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(decode_lines(data), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -116,9 +128,12 @@ def load_lexicon(data: bytes) -> Lexicon:
 
 
 def load_stoplist(data: bytes) -> Stoplist:
-    """Parse a stoplist file: UTF-8, one form per line, ``#`` comments."""
+    """Parse a stoplist file: UTF-8, one form per line, ``#`` comments.
+
+    Raises InvalidUtf8Error on bytes that are not UTF-8.
+    """
     forms = set()
-    for raw in data.decode("utf-8").splitlines():
+    for raw in decode_lines(data):
         line = raw.strip()
         if line and not line.startswith("#"):
             forms.add(line.casefold())

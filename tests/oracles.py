@@ -2,16 +2,21 @@
 
 The all-pairs shortest-path oracle is a straight Floyd-Warshall over a dense
 numpy matrix — deliberately nothing like the package's BFS, so the two can
-check each other. The greedy pairing oracle scores one phrase against every
-entry with plain per-entry loops over sorted codepoint arrays, where the
-package's scorer works on all entries at once.
+check each other. The BFS reference searches anew for each pair and stops at
+its one target, where the package's search serves every target of a source
+in one sweep; both must give each target the same path and tie-break. The
+greedy pairing oracle scores one phrase against every entry with plain
+per-entry loops over sorted codepoint arrays, where the package's scorer
+works on all entries at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from onto_enrich.errors import UnknownConceptError
 from onto_enrich.ontology import OntologyGraph
+from onto_enrich.pathfinder import DEFAULT_MAX_DEPTH, EdgeFilter, PathResult
 
 INF = np.inf
 
@@ -39,6 +44,61 @@ def graph_distances(graph: OntologyGraph, hierarchical_only: bool) -> dict[tuple
     ]
     dist = floyd_warshall(len(iris), edges)
     return {(a, b): dist[position[a], position[b]] for a in iris for b in iris}
+
+
+def bfs_path_reference(
+    graph: OntologyGraph,
+    src: str,
+    dst: str,
+    edge_filter: EdgeFilter,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> PathResult | None:
+    """BFS shortest path of length <= max_depth, or None if out of reach.
+
+    Edges are traversed as undirected. Among equal-length paths the result
+    is the one BFS reaches first when every node expands its neighbors in
+    ascending (neighbor iri, predicate iri) order, which pins the output
+    byte-for-byte across runs.
+    """
+    if src not in graph.concepts:
+        raise UnknownConceptError(f"unknown concept <{src}>")
+    if dst not in graph.concepts:
+        raise UnknownConceptError(f"unknown concept <{dst}>")
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if src == dst:
+        return PathResult(0, (src,), ())
+
+    hier = edge_filter is EdgeFilter.HIERARCHICAL
+    came_from: dict[str, tuple[str, str]] = {src: ("", "")}
+    frontier = [src]
+    for _ in range(max_depth):
+        next_frontier: list[str] = []
+        for node in frontier:
+            for neighbor, predicate in graph.neighbors(node, hierarchical_only=hier):
+                if neighbor in came_from:
+                    continue
+                came_from[neighbor] = (node, predicate)
+                if neighbor == dst:
+                    return _reconstruct(came_from, src, dst)
+                next_frontier.append(neighbor)
+        if not next_frontier:
+            return None
+        frontier = next_frontier
+    return None
+
+
+def _reconstruct(came_from: dict[str, tuple[str, str]], src: str, dst: str) -> PathResult:
+    nodes = [dst]
+    predicates = []
+    node = dst
+    while node != src:
+        node, predicate = came_from[node]
+        nodes.append(node)
+        predicates.append(predicate)
+    nodes.reverse()
+    predicates.reverse()
+    return PathResult(len(predicates), tuple(nodes), tuple(predicates))
 
 
 def random_typed_graph(rng, max_nodes: int = 50, edge_prob: float = 0.1) -> OntologyGraph:

@@ -1,0 +1,42 @@
+"""A corpus writer that only the tests need.
+
+``serialize_corpus`` writes the canonical XML that ``parse_corpus`` reads
+back to an equal corpus, so round-trip tests can start from values.
+"""
+
+from __future__ import annotations
+
+from onto_enrich.corpus import PhraseKind, QuestionCorpus, TextSpan
+
+
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _escape_attr(text: str) -> str:
+    return _escape(text).replace('"', "&quot;")
+
+
+def _write_marked(spans: tuple[TextSpan, ...]) -> str:
+    out = []
+    for span in spans:
+        if span.term is None:
+            out.append(_escape(span.text))
+        else:
+            tag = "TERM1" if span.term is PhraseKind.NP else "TERM2"
+            out.append(f"<{tag}>{_escape(span.text)}</{tag}>")
+    return "".join(out)
+
+
+def serialize_corpus(corpus: QuestionCorpus) -> bytes:
+    """Canonical UTF-8 serialization; parse_corpus round-trips it exactly."""
+    lines = ['<?xml version="1.0" encoding="utf-8"?>', "<corpus>"]
+    for q in corpus.questions:
+        lines.append(f'  <question id="{_escape_attr(q.id)}">')
+        lines.append(f"    <text>{_write_marked(q.text.spans)}</text>")
+        for a in q.answers:
+            lines.append(
+                f'    <answer kind="{a.kind.value}">{_write_marked(a.body.spans)}</answer>')
+        lines.append("  </question>")
+    lines.append("</corpus>")
+    return ("\n".join(lines) + "\n").encode("utf-8")

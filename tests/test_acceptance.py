@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from onto_enrich import lemmatize, parse_corpus
+from onto_enrich import parse_corpus
 from onto_enrich.corpus import PhraseKind, PhraseSource, extract_phrases
 from onto_enrich.matcher import MatchConfig, char_jaccard, match_question, seq_similarity
 from onto_enrich.pathfinder import EdgeFilter, shortest_path
@@ -186,7 +186,7 @@ def test_criterion_6_corpus_extraction(repo_root):
 @criterion(7, "fixture lexicon normalizes 'triangles'; stoplisted phrases never reach matching")
 def test_criterion_7_normalization(repo_root, fixture_lexicon, fixture_compiled_index,
                                    fixture_stoplist, monkeypatch):
-    assert lemmatize("triangles", fixture_lexicon) == "triangle"
+    assert fixture_lexicon.lemma("triangles") == "triangle"
 
     from onto_enrich import matcher as matcher_module
     from onto_enrich.corpus import MarkedPhrase, MarkedText, Question, TextSpan

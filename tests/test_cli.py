@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -133,6 +135,96 @@ class TestExitCodes:
         code = main(FIXTURE_ARGS + ["--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "internal error" in capsys.readouterr().err
+
+
+class TestOutput:
+    def test_unwritable_out_fails_before_run(self, in_repo_root, tmp_path, capsys,
+                                             monkeypatch):
+        from onto_enrich import cli
+
+        def must_not_run(config, jobs=1):
+            raise AssertionError("pipeline ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run", must_not_run)
+        out = tmp_path / "missing" / "r.json"
+        assert main(FIXTURE_ARGS + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and str(out) in err
+        assert main(FIXTURE_ARGS + ["--out", str(tmp_path)]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["input", "write"])
+    def test_failure_leaves_no_file(self, in_repo_root, tmp_path, monkeypatch, stage):
+        from onto_enrich import cli
+
+        args = list(FIXTURE_ARGS)
+        if stage == "input":
+            bad = tmp_path / "bad.xml"
+            bad.write_bytes(b"<corpus><question>")
+            args[3] = str(bad)
+        else:
+            def broken(report, format):
+                raise OSError("disk full")
+            monkeypatch.setattr(cli, "serialize_report", broken)
+        out = tmp_path / "out" / "r.json"
+        out.parent.mkdir()
+        assert main(args + ["--out", str(out)]) == 1
+        assert list(out.parent.iterdir()) == []
+
+    def test_failure_keeps_previous_report(self, in_repo_root, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_bytes(b"previous")
+        assert main(["--ontology", "fixtures/nope.nt", "--corpus", "fixtures/corpus.xml",
+                     "--out", str(out)]) == 1
+        assert out.read_bytes() == b"previous"
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_report_mode_follows_umask(self, in_repo_root, tmp_path, umask):
+        out = tmp_path / "r.json"
+        previous = os.umask(umask)
+        try:
+            assert main(FIXTURE_ARGS + ["--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_existing_report_keeps_its_mode(self, in_repo_root, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_bytes(b"previous")
+        out.chmod(0o640)
+        assert main(FIXTURE_ARGS + ["--out", str(out)]) == 0
+        assert out.read_bytes() != b"previous"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_symlinked_out_is_written_through(self, in_repo_root, repo_root, tmp_path):
+        golden = (repo_root / "tests/golden/fixture_report.json").read_bytes()
+        report = tmp_path / "reports" / "r.json"
+        report.parent.mkdir()
+        link = tmp_path / "link.json"
+        link.symlink_to(report)
+        for _ in range(2):  # dangling at first, then naming the report
+            assert main(FIXTURE_ARGS + ["--out", str(link)]) == 0
+            assert link.is_symlink() and report.read_bytes() == golden
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "reports"]
+        assert list(report.parent.iterdir()) == [report]
+
+    def test_non_regular_out_is_written_directly(self, in_repo_root, repo_root, tmp_path):
+        golden = (repo_root / "tests/golden/fixture_report.json").read_bytes()
+        out = tmp_path / "pipe"
+        os.mkfifo(out)
+        # with a reader already open the writer does not block on open, and
+        # the report fits in the pipe buffer
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(FIXTURE_ARGS + ["--out", str(out)]) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert data == golden
+        assert stat.S_ISFIFO(out.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestConsoleScript:

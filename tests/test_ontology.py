@@ -1,6 +1,7 @@
 import pytest
 
 from onto_enrich.errors import (
+    InvalidUtf8Error,
     MalformedTripleError,
     SelfLoopEdgeError,
     UnterminatedLiteralError,
@@ -13,6 +14,10 @@ from onto_enrich.ontology import (
     parse_triples,
 )
 from onto_enrich.textnorm import DEFAULT_STOPLIST, Lexicon, Stoplist
+
+
+def hierarchical_edges(graph):
+    return tuple(e for e in graph.edges if e.predicate in graph.hierarchical_predicates)
 
 
 class TestParseTriples:
@@ -66,6 +71,20 @@ class TestParseTriples:
             parse_triples(b"# one\n# two\nbroken\n")
         assert exc.value.line == 3
 
+    def test_datatype_literal_named_with_column(self):
+        with pytest.raises(MalformedTripleError) as exc:
+            parse_triples(b'<a:S> <a:p> <a:O> .\n<a:S> <a:p> "x"^^<xsd:string> .\n')
+        assert exc.value.line == 2
+        assert "datatype literals are not supported" in str(exc.value)
+        assert "column 16" in str(exc.value)
+
+    def test_non_utf8_named_with_line_and_column(self):
+        data = b'<a:S> <a:p> "\xc3\xa9t\xc3\xa9" .\n<a:S> <a:p> "caf\xe9" .\n'
+        with pytest.raises(InvalidUtf8Error) as exc:
+            parse_triples(data)
+        assert (exc.value.line, exc.value.column) == (2, 17)
+        assert str(exc.value) == "invalid UTF-8 byte 0xe9 (line 2, column 17)"
+
 
 class TestLocalName:
     @pytest.mark.parametrize("iri,expected", [
@@ -83,7 +102,7 @@ class TestBuildGraph:
         graph = build_graph([("c:A", "rdfs:subClassOf", "c:B")])
         assert set(graph.concepts) == {"c:A", "c:B"}
         assert len(graph.edges) == 1
-        assert graph.hierarchical_edges() == graph.edges
+        assert hierarchical_edges(graph) == graph.edges
 
     def test_edge_classification(self):
         graph = build_graph([
@@ -91,7 +110,7 @@ class TestBuildGraph:
             ("c:A", "c:relatesTo", "c:C"),
         ])
         assert len(graph.edges) == 2
-        assert len(graph.hierarchical_edges()) == 1
+        assert len(hierarchical_edges(graph)) == 1
 
     def test_local_name_fallback(self):
         graph = build_graph([("c:RightAngle", "rdfs:subClassOf", "c:Angle")])
@@ -136,7 +155,7 @@ class TestBuildGraph:
         assert build_graph(parse_triples(data)) == build_graph(parse_triples(data))
 
     def test_fixture_hierarchy_subset_of_full(self, fixture_graph):
-        assert set(fixture_graph.hierarchical_edges()) <= set(fixture_graph.edges)
+        assert set(hierarchical_edges(fixture_graph)) <= set(fixture_graph.edges)
         assert fixture_graph.hierarchical_predicates == {"rdfs:subClassOf", "ome:hasChild"}
 
     def test_neighbors_sorted(self, fixture_graph):

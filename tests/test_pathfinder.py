@@ -1,20 +1,26 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import UnknownConceptError
 from onto_enrich.matcher import ConceptMatch
-from onto_enrich.ontology import build_graph
+from onto_enrich.ontology import Literal, build_graph
 from onto_enrich.pathfinder import (
     EdgeFilter,
     PathResult,
     compare,
+    compare_from,
     enumerate_pairs,
+    paths_from,
     shortest_path,
 )
-from oracles import graph_distances, random_typed_graph
+from onto_enrich.pipeline import _compare_all
+from oracles import bfs_path_reference, graph_distances, random_typed_graph
 
 
 def _chain_graph():
@@ -201,3 +207,124 @@ class TestRandomGraphProperties:
                     record = compare(graph, (a, b), n)
                     if record.hierarchical is not None and record.full is not None:
                         assert record.full.length <= record.hierarchical.length
+
+
+@st.composite
+def typed_graphs(draw):
+    """Random graph over n:00.. with hierarchical (p:hier) and cross (p:cross)
+    edges; a linked pair carries one of them or both, in either direction."""
+    n = draw(st.integers(2, 12))
+    edge_prob = draw(st.floats(0.0, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    nodes = [f"n:{i:02d}" for i in range(n)]
+    triples = [(iri, "rdfs:label", Literal(iri[2:], "en")) for iri in nodes]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                for predicate in rng.choice([("p:hier",), ("p:cross",), ("p:hier", "p:cross")]):
+                    pair = (nodes[i], nodes[j]) if rng.random() < 0.5 else (nodes[j], nodes[i])
+                    triples.append((pair[0], predicate, pair[1]))
+    return build_graph(triples, hierarchical_predicates={"p:hier"})
+
+
+@st.composite
+def queries(draw):
+    """(graph, source, targets, max_depth); targets may repeat and may hold
+    the source itself, nodes out of reach and nodes beyond the cap."""
+    graph = draw(typed_graphs())
+    nodes = sorted(graph.concepts)
+    src = draw(st.sampled_from(nodes))
+    targets = draw(st.lists(st.sampled_from(nodes), max_size=len(nodes) + 2))
+    return graph, src, targets, draw(st.integers(1, len(nodes)))
+
+
+# A-B1-C and A-B2-C tie under both filters; B1-C also has two predicates
+_TIE_GRAPH = build_graph([
+    ("c:A", "p:hier", "c:B2"),
+    ("c:A", "p:hier", "c:B1"),
+    ("c:B2", "p:hier", "c:C"),
+    ("c:B1", "p:hier", "c:C"),
+    ("c:C", "p:cross", "c:B1"),
+    ("c:D", "p:cross", "c:C"),
+], hierarchical_predicates={"p:hier"})
+_TIE_QUERY = (_TIE_GRAPH, "c:A", ["c:C", "c:D", "c:B2", "c:A"], 2)
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
+
+
+class TestPathsFrom:
+    @PROPERTY_SETTINGS
+    @given(queries())
+    @example(_TIE_QUERY)
+    def test_equals_per_pair_reference(self, query):
+        graph, src, targets, max_depth = query
+        for edge_filter in EdgeFilter:
+            found = paths_from(graph, src, targets, edge_filter, max_depth)
+            expected = {t: bfs_path_reference(graph, src, t, edge_filter, max_depth)
+                        for t in targets}
+            assert found == {t: path for t, path in expected.items() if path is not None}
+
+    def test_tie_break_pinned(self):
+        graph, src, targets, max_depth = _TIE_QUERY
+        hier = paths_from(graph, src, targets, EdgeFilter.HIERARCHICAL, max_depth)
+        full = paths_from(graph, src, targets, EdgeFilter.ALL, max_depth)
+        assert hier["c:C"] == PathResult(2, ("c:A", "c:B1", "c:C"), ("p:hier", "p:hier"))
+        assert full["c:C"] == PathResult(2, ("c:A", "c:B1", "c:C"), ("p:hier", "p:cross"))
+        assert "c:D" not in hier and "c:D" not in full
+        assert hier["c:A"] == full["c:A"] == PathResult(0, ("c:A",), ())
+
+    @PROPERTY_SETTINGS
+    @given(queries())
+    def test_lengths_match_floyd_warshall_within_cap(self, query):
+        graph, src, _, max_depth = query
+        everything = sorted(graph.concepts)
+        for edge_filter in EdgeFilter:
+            oracle = graph_distances(graph, edge_filter is EdgeFilter.HIERARCHICAL)
+            found = paths_from(graph, src, everything, edge_filter, max_depth)
+            for target in everything:
+                if oracle[src, target] <= max_depth:
+                    assert found[target].length == oracle[src, target]
+                    assert found[target].nodes[0] == src
+                    assert found[target].nodes[-1] == target
+                    _assert_path_valid(graph, found[target])
+                else:
+                    assert target not in found
+
+    def test_unknown_concepts_and_depth_checked_before_search(self, fixture_graph):
+        with pytest.raises(UnknownConceptError, match="c:Nowhere"):
+            paths_from(fixture_graph, "c:Angle", ["c:Point", "c:Nowhere"], EdgeFilter.ALL)
+        with pytest.raises(ValueError):
+            paths_from(fixture_graph, "c:Angle", [], EdgeFilter.ALL, 0)
+
+    def test_no_targets(self, fixture_graph):
+        assert paths_from(fixture_graph, "c:Angle", [], EdgeFilter.ALL) == {}
+
+
+class TestCompareFrom:
+    @PROPERTY_SETTINGS
+    @given(queries())
+    @example(_TIE_QUERY)
+    def test_equals_compare_per_pair(self, query):
+        graph, src, targets, max_depth = query
+        dsts = [t for t in targets if t >= src]
+        assert compare_from(graph, src, dsts, max_depth) == [
+            compare(graph, (src, dst), max_depth) for dst in dsts]
+
+    def test_dst_before_src_rejected(self, fixture_graph):
+        with pytest.raises(ValueError):
+            compare_from(fixture_graph, "c:Square", ["c:Rhombus"], 6)
+
+    @settings(max_examples=100, deadline=None)  # each example starts a thread pool
+    @given(queries(), st.randoms(use_true_random=False))
+    def test_compare_all_threads_equal_serial(self, query, rng):
+        graph, _, _, max_depth = query
+        nodes = sorted(graph.concepts)
+        pair_questions = {
+            pair: {f"q{rng.randrange(3)}", f"q{rng.randrange(3)}"}
+            for pair in itertools.combinations(nodes, 2)
+            if rng.random() < 0.5
+        }
+        serial = _compare_all(graph, pair_questions, max_depth, 1)
+        assert [(r.concept_a, r.concept_b) for r in serial] == sorted(pair_questions)
+        assert [r.question_ids for r in serial] == [
+            tuple(sorted(pair_questions[pair])) for pair in sorted(pair_questions)]
+        assert _compare_all(graph, pair_questions, max_depth, 2) == serial

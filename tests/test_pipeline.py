@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from onto_enrich.errors import InternalInvariantError
+from onto_enrich.errors import InternalInvariantError, InvalidUtf8Error
 from onto_enrich.pathfinder import ConnectionRecord, PathResult
 from onto_enrich.pipeline import (
     Report,
@@ -137,6 +137,15 @@ class TestRun:
         assert record.hierarchical is None and record.full is None
         assert record.optimal is False
 
+    @pytest.mark.parametrize("field", ["ontology", "lexicon", "stoplist"])
+    def test_non_utf8_input_names_file_and_line(self, in_repo_root, tmp_path, field):
+        bad = tmp_path / f"bad-{field}"
+        bad.write_bytes(b"# fine\n# caf\xe9\n")
+        config = dataclasses.replace(FIXTURE_CONFIG, **{field: str(bad)})
+        with pytest.raises(InvalidUtf8Error) as exc:
+            run(config)
+        assert str(exc.value) == f"{bad}: invalid UTF-8 byte 0xe9 (line 2, column 6)"
+
     def test_missing_file_raises_oserror(self, in_repo_root):
         config = dataclasses.replace(FIXTURE_CONFIG, corpus="fixtures/nope.xml")
         with pytest.raises(OSError):
@@ -225,3 +234,13 @@ class TestReportInvariants:
             fixture_report, records=(dataclasses.replace(record, full=fake),))
         with pytest.raises(InternalInvariantError):
             _check_report(report, fixture_graph)
+
+
+def test_public_api_is_explicit():
+    import types
+
+    import onto_enrich
+
+    exported = {name: getattr(onto_enrich, name) for name in onto_enrich.__all__}
+    assert not [name for name, value in exported.items() if isinstance(value, types.ModuleType)]
+    assert {"run", "RunConfig", "paths_from", "compare_from", "CompiledLabelIndex"} <= set(exported)

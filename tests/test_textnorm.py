@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from onto_enrich.errors import MalformedLexiconLineError
+from onto_enrich.errors import InvalidUtf8Error, MalformedLexiconLineError
 from onto_enrich.textnorm import (
     DEFAULT_STOPLIST,
     Lexicon,
     Stoplist,
-    lemmatize,
     load_lexicon,
     load_stoplist,
     normalize_phrase,
@@ -41,13 +40,13 @@ class TestTokenize:
 class TestLemmatize:
     def test_lexicon_hit(self):
         lex = Lexicon({"triangles": "triangle"})
-        assert lemmatize("triangles", lex) == "triangle"
+        assert lex.lemma("triangles") == "triangle"
 
     def test_identity_fallback(self):
-        assert lemmatize("triangle", Lexicon()) == "triangle"
+        assert Lexicon().lemma("triangle") == "triangle"
 
     def test_fixture_entry(self, fixture_lexicon):
-        assert lemmatize("axes", fixture_lexicon) == "axis"
+        assert fixture_lexicon.lemma("axes") == "axis"
 
 
 class TestNormalizePhrase:
@@ -98,12 +97,23 @@ class TestLoadLexicon:
         with pytest.raises(MalformedLexiconLineError):
             load_lexicon(b"\tlemma\n")
 
+    def test_non_utf8_named_with_line_and_column(self):
+        with pytest.raises(InvalidUtf8Error) as exc:
+            load_lexicon(b"# c\r\n\xd1\x83\xd0\xb3\xd0\xbb\xd1\x8b\t\xff\n")
+        assert (exc.value.line, exc.value.column) == (2, 6)
+
 
 class TestLoadStoplist:
     def test_basic(self):
         stop = load_stoplist(b"The\nof\n# comment\n\n")
         assert "the" in stop and "of" in stop
         assert len(stop) == 2
+
+    def test_non_utf8_named_with_line_and_column(self):
+        with pytest.raises(InvalidUtf8Error) as exc:
+            load_stoplist(b"the\n\nof\x80\n")
+        assert (exc.value.line, exc.value.column) == (3, 3)
+        assert "0x80" in str(exc.value)
 
     def test_default_covers_pp_prepositions(self):
         for word in ("up", "to", "the", "after", "of"):
@@ -143,6 +153,6 @@ class TestProperties:
     def test_lemmatize_total_and_deterministic(self):
         lex = Lexicon({"a": "b"})
         for token in WORDS:
-            first = lemmatize(token, lex)
-            assert first == lemmatize(token, lex)
+            first = lex.lemma(token)
+            assert first == lex.lemma(token)
             assert first
