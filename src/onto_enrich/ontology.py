@@ -3,6 +3,10 @@
 The ontology ships as a minimal line-based triple file: one triple per line,
 ``<iri> <iri> <iri> .`` for relations or ``<iri> <iri> "literal"@lang .`` for
 labels. IRIs are opaque strings; no prefix expansion, blank nodes or nesting.
+Each line is read by one compiled regular expression, the fast path. A line
+it rejects goes to a character scanner, the diagnostics path, which accepts
+exactly the same lines and names what is wrong with the others, with the
+column where it can.
 Edges whose predicate is in the configured hierarchical set (default
 rdfs:subClassOf and ome:hasChild) form the hierarchy; every edge belongs to
 the full relation graph.
@@ -10,6 +14,7 @@ the full relation graph.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -101,6 +106,56 @@ def _skip_ws(line: str, pos: int) -> int:
     return pos
 
 
+def _scan_line(line: str, lineno: int) -> Triple:
+    """The triple on ``line``, or the error naming what is wrong with it."""
+    pos = _skip_ws(line, 0)
+    subject, pos = _scan_iri(line, pos, lineno)
+    pos = _skip_ws(line, pos)
+    predicate, pos = _scan_iri(line, pos, lineno)
+    pos = _skip_ws(line, pos)
+    obj: str | Literal
+    if pos < len(line) and line[pos] == '"':
+        obj, pos = _scan_literal(line, pos, lineno)
+    else:
+        obj, pos = _scan_iri(line, pos, lineno)
+    pos = _skip_ws(line, pos)
+    if pos >= len(line) or line[pos] != ".":
+        raise MalformedTripleError("triple missing terminating '.'", lineno)
+    if line[pos + 1:].strip():
+        raise MalformedTripleError("trailing content after '.'", lineno)
+    return subject, predicate, obj
+
+
+# The lines _scan_line accepts: \s is str.isspace and [^\W_] str.isalnum, the
+# scanner's character tests (tests/test_ontology.py checks both over every
+# code point). Groups: subject, predicate, then the object IRI or the raw
+# literal body and its language tag.
+_IRI = r"<([^\s<>]+)>"
+_TRIPLE_RE = re.compile(
+    rf'[ \t]*{_IRI}[ \t]*{_IRI}[ \t]*'
+    rf'(?:{_IRI}|"((?:[^"\\]|\\[\\"ntr])*)"(?:@((?:[^\W_]|-)+))?)'
+    r"[ \t]*\.\s*"
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES[match[1]]
+
+
+def _match_line(line: str) -> Triple | None:
+    """The triple on ``line`` if the fast path accepts it, else None."""
+    match = _TRIPLE_RE.fullmatch(line)
+    if match is None:
+        return None
+    subject, predicate, obj, text, lang = match.groups()
+    if obj is None:
+        if "\\" in text:
+            text = _ESCAPE_RE.sub(_unescape, text)
+        obj = Literal(text, lang)
+    return subject, predicate, obj
+
+
 def parse_triples(data: bytes) -> list[Triple]:
     """Parse ontology bytes into (subject, predicate, object) triples.
 
@@ -111,25 +166,14 @@ def parse_triples(data: bytes) -> list[Triple]:
     """
     triples: list[Triple] = []
     for lineno, line in enumerate(decode_lines(data), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        pos = _skip_ws(line, 0)
-        subject, pos = _scan_iri(line, pos, lineno)
-        pos = _skip_ws(line, pos)
-        predicate, pos = _scan_iri(line, pos, lineno)
-        pos = _skip_ws(line, pos)
-        obj: str | Literal
-        if pos < len(line) and line[pos] == '"':
-            obj, pos = _scan_literal(line, pos, lineno)
-        else:
-            obj, pos = _scan_iri(line, pos, lineno)
-        pos = _skip_ws(line, pos)
-        if pos >= len(line) or line[pos] != ".":
-            raise MalformedTripleError("triple missing terminating '.'", lineno)
-        if line[pos + 1:].strip():
-            raise MalformedTripleError("trailing content after '.'", lineno)
-        triples.append((subject, predicate, obj))
+        triple = _match_line(line)
+        if triple is None:
+            # a blank or comment line never matches, so it is tested only here
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            triple = _scan_line(line, lineno)
+        triples.append(triple)
     return triples
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import UnknownConceptError
 from .matcher import ConceptMatch
@@ -140,19 +140,21 @@ def compare_from(
     src: str,
     dsts: Iterable[str],
     max_depth: int = DEFAULT_MAX_DEPTH,
+    question_ids: Mapping[str, tuple[str, ...]] | None = None,
 ) -> list[ConnectionRecord]:
     """One record per pair (src, dst), in ``dsts`` order, flagging optimality.
 
     ``src`` must not sort after any dst, so that it is each pair's
     ``concept_a``. One hierarchical and one full search from ``src`` serve
-    every pair. ``question_ids`` is left empty here; the pipeline fills it
-    while aggregating pairs across questions.
+    every pair. Each record carries ``question_ids[dst]``, or no ids when
+    the mapping is absent or lacks that dst.
     """
     dsts = list(dsts)
     if any(dst < src for dst in dsts):
         raise ValueError(f"every dst must sort at or after src <{src}>")
     hierarchical = paths_from(graph, src, dsts, EdgeFilter.HIERARCHICAL, max_depth)
     full = paths_from(graph, src, dsts, EdgeFilter.ALL, max_depth)
+    question_ids = question_ids or {}
     records = []
     for dst in dsts:
         hier_path, full_path = hierarchical.get(dst), full.get(dst)
@@ -161,7 +163,8 @@ def compare_from(
             and full_path is not None
             and full_path.length < hier_path.length
         )
-        records.append(ConnectionRecord(src, dst, hier_path, full_path, optimal, ()))
+        records.append(ConnectionRecord(
+            src, dst, hier_path, full_path, optimal, question_ids.get(dst, ())))
     return records
 
 

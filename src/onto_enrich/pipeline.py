@@ -14,10 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from json.encoder import encode_basestring  # json's string escaper, in C
 from operator import itemgetter
 from pathlib import Path
 
@@ -159,26 +160,23 @@ def _match_all(corpus, compiled, lexicon, stoplist, match_config, jobs):
 
 
 def _compare_all(graph, pair_questions, max_depth, jobs):
-    # pairs sort by concept_a, so each group is one source's searches
+    # pairs sort by concept_a, so each group is one source's searches; its
+    # dsts map to their sorted question ids, in order
     groups = [
-        (src, [b for _, b in pairs])
+        (src, {b: tuple(sorted(pair_questions[src, b])) for _, b in pairs})
         for src, pairs in itertools.groupby(sorted(pair_questions), key=itemgetter(0))
     ]
 
     def one(group):
-        return compare_from(graph, *group, max_depth)
+        src, ids = group
+        return compare_from(graph, src, ids, max_depth, question_ids=ids)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_source = list(pool.map(one, groups))
     else:
         per_source = [one(g) for g in groups]
-    return [
-        replace(record, question_ids=tuple(
-            sorted(pair_questions[record.concept_a, record.concept_b])))
-        for records in per_source
-        for record in records
-    ]
+    return [record for records in per_source for record in records]
 
 
 def _check_path(record, path, edges):
@@ -212,74 +210,122 @@ def _check_report(report: Report, graph: OntologyGraph) -> None:
                 _check_path(record, path, edges)
 
 
-def _path_dict(path: PathResult | None):
+def _json_scalar(value) -> str:
+    """A JSON scalar exactly as ``json.dumps`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"not a JSON scalar: {value!r}")
+
+
+_PAD4, _PAD6, _PAD8, _PAD10 = (" " * n for n in (4, 6, 8, 10))
+
+
+def _json_strings(items, pad: str) -> str:
+    """A list of strings whose items sit at indentation ``pad``."""
+    if not items:
+        return "[]"
+    separator = ",\n" + pad
+    return f"[\n{pad}{separator.join(map(encode_basestring, items))}\n{pad[:-2]}]"
+
+
+def _json_path(path: PathResult | None) -> str:
     if path is None:
-        return None
-    return {
-        "length": path.length,
-        "nodes": list(path.nodes),
-        "predicates": list(path.predicates),
-    }
+        return "null"
+    return (
+        f'{{\n        "length": {int.__repr__(path.length)},'
+        f'\n        "nodes": {_json_strings(path.nodes, _PAD10)},'
+        f'\n        "predicates": {_json_strings(path.predicates, _PAD10)}\n      }}'
+    )
 
 
-def _report_dict(report: Report) -> dict:
+def _json_objects(items: list[str]) -> str:
+    """A list of objects already written at the item indentation."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
+def _json_report(report: Report) -> str:
+    # The report's fixed schema written out key by key, two-space indent;
+    # tests/oracles.py holds the json.dumps form these bytes are pinned to.
     config = report.config
-    return {
-        "tool": "onto-enrich",
-        "version": report.version,
-        "config": {
-            "ontology": config.ontology,
-            "corpus": config.corpus,
-            "lexicon": config.lexicon,
-            "stoplist": config.stoplist,
-            "word_threshold": config.match.word_threshold,
-            "seq_threshold": config.match.seq_threshold,
-            "max_depth": config.max_depth,
-            "label_predicates": list(config.label_predicates),
-            "hierarchical_predicates": list(config.hierarchical_predicates),
-            "label_lang": config.label_lang,
-            "format": config.format,
-            "optimal_only": config.optimal_only,
-        },
-        "records": [
-            {
-                "concept_a": r.concept_a,
-                "concept_b": r.concept_b,
-                "optimal": r.optimal,
-                "hierarchical": _path_dict(r.hierarchical),
-                "full": _path_dict(r.full),
-                "question_ids": list(r.question_ids),
-            }
-            for r in report.records
-        ],
-        "matches": [
-            {
-                "question_id": m.question_id,
-                "ordinal": m.phrase.ordinal,
-                "kind": m.phrase.kind.value,
-                "source": m.phrase.source.value,
-                "phrase": m.phrase.raw,
-                "concept": m.concept_iri,
-                "label": m.matched_label,
-                "score": m.score,
-            }
-            for m in report.matches
-        ],
-        "warnings": list(report.warnings),
-    }
+    config_items = (
+        ("ontology", config.ontology),
+        ("corpus", config.corpus),
+        ("lexicon", config.lexicon),
+        ("stoplist", config.stoplist),
+        ("word_threshold", config.match.word_threshold),
+        ("seq_threshold", config.match.seq_threshold),
+        ("max_depth", config.max_depth),
+        ("label_predicates", config.label_predicates),
+        ("hierarchical_predicates", config.hierarchical_predicates),
+        ("label_lang", config.label_lang),
+        ("format", config.format),
+        ("optimal_only", config.optimal_only),
+    )
+    config_json = ",\n    ".join(
+        f'"{key}": '
+        + (_json_strings(value, _PAD6) if isinstance(value, (tuple, list))
+           else _json_scalar(value))
+        for key, value in config_items
+    )
+    records = [
+        f'{{\n      "concept_a": {encode_basestring(r.concept_a)},'
+        f'\n      "concept_b": {encode_basestring(r.concept_b)},'
+        f'\n      "optimal": {"true" if r.optimal else "false"},'
+        f'\n      "hierarchical": {_json_path(r.hierarchical)},'
+        f'\n      "full": {_json_path(r.full)},'
+        f'\n      "question_ids": {_json_strings(r.question_ids, _PAD8)}\n    }}'
+        for r in report.records
+    ]
+    matches = [
+        f'{{\n      "question_id": {encode_basestring(m.question_id)},'
+        f'\n      "ordinal": {_json_scalar(m.phrase.ordinal)},'
+        f'\n      "kind": {encode_basestring(m.phrase.kind.value)},'
+        f'\n      "source": {encode_basestring(m.phrase.source.value)},'
+        f'\n      "phrase": {encode_basestring(m.phrase.raw)},'
+        f'\n      "concept": {encode_basestring(m.concept_iri)},'
+        f'\n      "label": {encode_basestring(m.matched_label)},'
+        f'\n      "score": {_json_scalar(m.score)}\n    }}'
+        for m in report.matches
+    ]
+    return (
+        f'{{\n  "tool": "onto-enrich",\n  "version": {_json_scalar(report.version)},'
+        f'\n  "config": {{\n    {config_json}\n  }},'
+        f'\n  "records": {_json_objects(records)},'
+        f'\n  "matches": {_json_objects(matches)},'
+        f'\n  "warnings": {_json_strings(report.warnings, _PAD4)}\n}}\n'
+    )
 
 
 def serialize_report(report: Report, format: str) -> bytes:
     """Serialize to UTF-8 bytes; identical reports serialize identically.
 
-    JSON: fixed key order as produced by _report_dict, two-space indent,
-    newline-terminated. CSV: one row per record with the header
+    JSON: keys in a fixed order (tool, version, config, records, matches,
+    warnings), two-space indent, newline-terminated, non-ASCII text written
+    as is. A writer for this one schema produces it, pinned by a Hypothesis
+    property to the bytes of ``json.dumps(..., ensure_ascii=False,
+    indent=2)`` (``tests/oracles.py``), which is several times slower. CSV: one row per record with the header
     concept_a,concept_b,hier_len,full_len,optimal,questions,hier_path,full_path;
     paths are '/'-joined node iris, questions ';'-joined, and both length and
     path cells stay empty when a path does not exist.
     """
     if format == "json":
-        return (json.dumps(_report_dict(report), ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+        return _json_report(report).encode("utf-8")
     if format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -9,6 +9,7 @@ compares.
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -89,9 +90,12 @@ def normalize_phrase(text: str, lexicon: Lexicon, stoplist: Stoplist) -> LemmaSe
 def decode_lines(data: bytes) -> list[str]:
     """UTF-8 ``data`` split into lines as ``str.splitlines`` splits them.
 
+    One leading byte-order mark is dropped and does not count as a column.
     Raises InvalidUtf8Error naming the line and column of the first byte
     that does not decode.
     """
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

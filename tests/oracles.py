@@ -7,16 +7,21 @@ its one target, where the package's search serves every target of a source
 in one sweep; both must give each target the same path and tie-break. The
 greedy pairing oracle scores one phrase against every entry with plain
 per-entry loops over sorted codepoint arrays, where the package's scorer
-works on all entries at once.
+works on all entries at once. The JSON report oracle is the standard
+library's generic indenting encoder over a plain dict of the report, where
+the package writes the report's fixed schema directly.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 from onto_enrich.errors import UnknownConceptError
 from onto_enrich.ontology import OntologyGraph
 from onto_enrich.pathfinder import DEFAULT_MAX_DEPTH, EdgeFilter, PathResult
+from onto_enrich.pipeline import Report
 
 INF = np.inf
 
@@ -196,3 +201,66 @@ def reference_counts(phrase: tuple[str, ...], entries: list[tuple[str, ...]],
     """``greedy_counts_loops`` of a phrase against lemma sequences."""
     q_cp, q_off, _ = pack_lemmas([phrase])
     return greedy_counts_loops(q_cp, q_off, *pack_lemmas(entries), word_threshold)
+
+
+def _path_dict(path: PathResult | None):
+    if path is None:
+        return None
+    return {
+        "length": path.length,
+        "nodes": list(path.nodes),
+        "predicates": list(path.predicates),
+    }
+
+
+def report_dict(report: Report) -> dict:
+    """The report as plain JSON values, keys in the report's documented order."""
+    config = report.config
+    return {
+        "tool": "onto-enrich",
+        "version": report.version,
+        "config": {
+            "ontology": config.ontology,
+            "corpus": config.corpus,
+            "lexicon": config.lexicon,
+            "stoplist": config.stoplist,
+            "word_threshold": config.match.word_threshold,
+            "seq_threshold": config.match.seq_threshold,
+            "max_depth": config.max_depth,
+            "label_predicates": list(config.label_predicates),
+            "hierarchical_predicates": list(config.hierarchical_predicates),
+            "label_lang": config.label_lang,
+            "format": config.format,
+            "optimal_only": config.optimal_only,
+        },
+        "records": [
+            {
+                "concept_a": r.concept_a,
+                "concept_b": r.concept_b,
+                "optimal": r.optimal,
+                "hierarchical": _path_dict(r.hierarchical),
+                "full": _path_dict(r.full),
+                "question_ids": list(r.question_ids),
+            }
+            for r in report.records
+        ],
+        "matches": [
+            {
+                "question_id": m.question_id,
+                "ordinal": m.phrase.ordinal,
+                "kind": m.phrase.kind.value,
+                "source": m.phrase.source.value,
+                "phrase": m.phrase.raw,
+                "concept": m.concept_iri,
+                "label": m.matched_label,
+                "score": m.score,
+            }
+            for m in report.matches
+        ],
+        "warnings": list(report.warnings),
+    }
+
+
+def json_report_reference(report: Report) -> bytes:
+    """The JSON report bytes as the standard library's encoder writes them."""
+    return (json.dumps(report_dict(report), ensure_ascii=False, indent=2) + "\n").encode("utf-8")

@@ -1,19 +1,27 @@
+import re
+import sys
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onto_enrich.errors import (
     InvalidUtf8Error,
     MalformedTripleError,
+    OntoEnrichError,
     SelfLoopEdgeError,
     UnterminatedLiteralError,
 )
 from onto_enrich.ontology import (
     Literal,
+    _match_line,
+    _scan_line,
     build_graph,
     build_label_index,
     local_name,
     parse_triples,
 )
-from onto_enrich.textnorm import DEFAULT_STOPLIST, Lexicon, Stoplist
+from onto_enrich.textnorm import DEFAULT_STOPLIST, Lexicon, Stoplist, decode_lines
 
 
 def hierarchical_edges(graph):
@@ -84,6 +92,135 @@ class TestParseTriples:
             parse_triples(data)
         assert (exc.value.line, exc.value.column) == (2, 17)
         assert str(exc.value) == "invalid UTF-8 byte 0xe9 (line 2, column 17)"
+
+    def test_byte_order_mark_dropped(self):
+        assert parse_triples(b"\xef\xbb\xbf<a:S> <a:p> <a:O> .\n") == [("a:S", "a:p", "a:O")]
+
+
+# Line fragments near the edges of the triple grammar: whitespace that is
+# and is not skipped between terms, IRIs with and without forbidden
+# characters, literal pieces with good and bad escapes, language tags that
+# do and do not hold only alphanumerics and '-', and stray punctuation.
+_WS = st.sampled_from(["", " ", "\t", " \t "])
+_BAD_WS = st.sampled_from(["\u00a0", "\u2028", "\u3000", "\x0b", "\x1c"])
+_IRIS = st.text(alphabet="ab:/#.-_\"\\@^é𝔸", min_size=1, max_size=4).map(lambda body: f"<{body}>")
+_BAD_IRIS = st.one_of(
+    st.sampled_from(["a\u00a0", "\u2028", "a\tb", "\x1c", "\u3000b", "a<", "<"]).map(
+        lambda body: f"<{body}>"),
+    st.sampled_from(["<", "<a", "a:b>", "<>", "<a b>", "<a<b>"]),
+)
+_PIECES = st.sampled_from([
+    "a", "é", "𝔸", " ", ".", "<", "#", "@", "\t", "\u00a0", "\u2028",
+    '\\"', "\\\\", "\\n", "\\t", "\\r",
+])
+_BAD_PIECES = st.sampled_from(["\\x", "\\u", "\\", '"', "\\ "])
+_LANGS = st.sampled_from(["", "@en", "@en-US", "@ru1", "@-", "@é", "@𝔸", "@²", "@ⅷ٣"])
+_BAD_LANGS = st.one_of(
+    st.sampled_from(["@", "@ ", "@_x", "@x_", "@.", "^^<x:t>", "^", "@en@"]),
+    st.text(alphabet="ab1-_²ⅷ٣ª.", max_size=4).map(lambda tag: "@" + tag),
+)
+_ENDS = st.sampled_from([" .", ".", "\t.\t", ". ", ".\u00a0", ".\u2028", ".\x0b"])
+_BAD_ENDS = st.sampled_from(["", " ", " . x", "..", " .#", ".\u00a0x", "\u00a0."])
+_GARBAGE = st.sampled_from([".", "^^", "#", "<", ">", '"', "x", "\\", "@", " . ", "\u00a0", "\x00"])
+
+
+@st.composite
+def _triple_lines(draw):
+    """Triple-shaped lines with each part, now and then, a near miss."""
+    def part(good, bad):
+        return draw(bad if draw(st.integers(0, 9)) == 0 else good)
+
+    def term():
+        return part(_IRIS, _BAD_IRIS)
+
+    def obj():
+        if not draw(st.booleans()):
+            return term()
+        body = "".join(part(_PIECES, _BAD_PIECES) for _ in range(draw(st.integers(0, 4))))
+        return '"' + body + part(st.just('"'), st.just("")) + part(_LANGS, _BAD_LANGS)
+
+    return "".join([
+        part(_WS, _BAD_WS), term(), part(_WS, _BAD_WS), term(), part(_WS, _BAD_WS),
+        obj(), part(_WS, _BAD_WS), part(_ENDS, _BAD_ENDS),
+    ])
+
+
+_FRAGMENT_LINES = st.lists(
+    st.one_of(_WS, _BAD_WS, _IRIS, _BAD_IRIS, _PIECES, _LANGS, _BAD_LANGS, _ENDS, _GARBAGE),
+    max_size=8,
+).map("".join)
+_LINES = st.one_of(
+    _triple_lines(), _FRAGMENT_LINES, st.sampled_from(["", "  ", "# c", "\t# <a> <b> <c> ."]))
+
+
+def _scanned(line: str):
+    """The scanner's triple for ``line``, or its error as (type, message)."""
+    try:
+        return _scan_line(line, 7), None
+    except MalformedTripleError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _scan_reference(data: bytes):
+    """parse_triples with the scanner on every line, or its error."""
+    triples = []
+    try:
+        for lineno, line in enumerate(decode_lines(data), start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                triples.append(_scan_line(line, lineno))
+    except OntoEnrichError as exc:
+        return None, (type(exc), str(exc))
+    return triples, None
+
+
+class TestFastPath:
+    def test_character_classes_equal_scanner_tests(self):
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert set(re.findall(r"\s", everything)) == {c for c in everything if c.isspace()}
+        assert set(re.findall(r"[^\W_]", everything)) == {c for c in everything if c.isalnum()}
+
+    @settings(max_examples=600, deadline=None)
+    @given(_LINES)
+    @example('\u00a0<a:S> <a:p> <a:O> .')
+    @example('<a:S> <a:p\u00a0> <a:O> .')
+    @example('<a:S>\u00a0<a:p> <a:O> .')
+    @example('<a:S> <a:p> <a:O> .\u00a0\u2028 ')
+    @example('<a:S> <a:p> "x"@en-US\t.')
+    @example('<a:S> <a:p> "x"@en_US .')
+    @example('<a:S> <a:p> "a\\"b\\\\"@ .')
+    @example('<a:S><a:p>"\\n"@ru.')
+    def test_accepts_exactly_the_scanners_lines(self, line):
+        triple, error = _scanned(line)
+        assert _match_line(line) == triple
+        assert (triple is None) == (error is not None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_LINES, max_size=6), st.sampled_from(["\n", "\r\n", "\r", "\u2028"]))
+    def test_parse_triples_equals_scanner(self, lines, newline):
+        data = newline.join(lines).encode("utf-8")
+        expected, error = _scan_reference(data)
+        if error is None:
+            assert parse_triples(data) == expected
+        else:
+            with pytest.raises(error[0]) as exc:
+                parse_triples(data)
+            assert str(exc.value) == error[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.builds(lambda a, b, c: a.encode("utf-8") + b + c.encode("utf-8"),
+                  _LINES, st.binary(max_size=3), _LINES),
+    ))
+    def test_arbitrary_bytes_parse_or_name_a_line(self, data):
+        try:
+            triples = parse_triples(data)
+        except OntoEnrichError as exc:
+            assert exc.line >= 1
+            assert f"(line {exc.line}" in str(exc)
+        else:
+            assert isinstance(triples, list)
 
 
 class TestLocalName:

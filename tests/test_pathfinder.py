@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -308,6 +309,16 @@ class TestCompareFrom:
         dsts = [t for t in targets if t >= src]
         assert compare_from(graph, src, dsts, max_depth) == [
             compare(graph, (src, dst), max_depth) for dst in dsts]
+
+    @PROPERTY_SETTINGS
+    @given(queries(), st.randoms(use_true_random=False))
+    def test_question_ids_set_per_dst(self, query, rng):
+        graph, src, targets, max_depth = query
+        dsts = [t for t in targets if t >= src]
+        ids = {dst: (f"q{rng.randrange(3)}",) for dst in dsts if rng.random() < 0.7}
+        assert compare_from(graph, src, dsts, max_depth, question_ids=ids) == [
+            dataclasses.replace(record, question_ids=ids.get(record.concept_b, ()))
+            for record in compare_from(graph, src, dsts, max_depth)]
 
     def test_dst_before_src_rejected(self, fixture_graph):
         with pytest.raises(ValueError):

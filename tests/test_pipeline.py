@@ -1,17 +1,24 @@
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import InternalInvariantError, InvalidUtf8Error
+from onto_enrich.matcher import ConceptMatch, MatchConfig
 from onto_enrich.pathfinder import ConnectionRecord, PathResult
 from onto_enrich.pipeline import (
+    OUTPUT_FORMATS,
     Report,
     RunConfig,
     _check_report,
     run,
     serialize_report,
 )
+from oracles import json_report_reference
 
 FIXTURE_CONFIG = RunConfig(
     ontology="fixtures/ontology.nt",
@@ -172,7 +179,74 @@ def _record_ab() -> ConnectionRecord:
     )
 
 
+# Text that JSON must escape or pass through untouched: quotes, backslashes,
+# control characters, U+2028, non-BMP code points, and anything else.
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\n\t\r\u2028\u2029é𝔸😀'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=6,
+)
+_NUMBERS = st.one_of(st.integers(0, 1), st.floats(0, 1))
+
+
+@st.composite
+def _paths(draw):
+    length = draw(st.integers(0, 3))
+    nodes = draw(st.lists(_TEXT, min_size=length + 1, max_size=length + 1))
+    predicates = draw(st.lists(_TEXT, min_size=length, max_size=length))
+    return PathResult(length, tuple(nodes), tuple(predicates))
+
+
+_TEXTS = st.lists(_TEXT, max_size=3).map(tuple)
+_OPTIONAL_TEXT = st.none() | _TEXT
+_RECORDS = st.builds(
+    ConnectionRecord, _TEXT, _TEXT, st.none() | _paths(), st.none() | _paths(),
+    st.booleans(), _TEXTS)
+_MATCHES = st.builds(
+    ConceptMatch,
+    _TEXT,
+    st.builds(MarkedPhrase, _TEXT, st.sampled_from(PhraseKind), _TEXT,
+              st.sampled_from(PhraseSource), st.integers(0, 10**6)),
+    _TEXT, _TEXT,
+    st.one_of(_NUMBERS, st.sampled_from([math.nan, math.inf, -math.inf]), st.floats()),
+)
+_CONFIGS = st.builds(
+    RunConfig,
+    ontology=_TEXT, corpus=_TEXT, lexicon=_OPTIONAL_TEXT, stoplist=_OPTIONAL_TEXT,
+    match=st.builds(MatchConfig, _NUMBERS, _NUMBERS),
+    max_depth=st.integers(1, 10**12),
+    label_predicates=_TEXTS, hierarchical_predicates=_TEXTS, label_lang=_OPTIONAL_TEXT,
+    format=st.sampled_from(OUTPUT_FORMATS), optimal_only=st.booleans(),
+)
+_REPORTS = st.builds(
+    Report, _TEXT, _CONFIGS,
+    st.lists(_RECORDS, max_size=3).map(tuple),
+    st.lists(_MATCHES, max_size=3).map(tuple),
+    _TEXTS,
+)
+_EMPTY_REPORT = Report(
+    "", RunConfig("", "", match=MatchConfig(1, 0), label_predicates=(),
+                  hierarchical_predicates=()), (), (), ())
+
+
 class TestSerializeReport:
+    @settings(max_examples=150, deadline=None)
+    @given(_REPORTS)
+    @example(_EMPTY_REPORT)
+    @example(dataclasses.replace(_EMPTY_REPORT, records=(
+        ConnectionRecord("a", "a\u2028", PathResult(0, ("a",), ()), None, False, ()),)))
+    @example(dataclasses.replace(_EMPTY_REPORT, matches=tuple(
+        ConceptMatch("q", MarkedPhrase("q", PhraseKind.NP, "p", PhraseSource.QUESTION_TEXT, 0),
+                     "c", "l", score)
+        for score in (math.nan, math.inf, -math.inf, 1, 0.1))))
+    def test_json_equals_standard_encoder(self, report):
+        assert serialize_report(report, "json") == json_report_reference(report)
+
+    def test_golden_report_equals_standard_encoder(self, fixture_report):
+        assert serialize_report(fixture_report, "json") == json_report_reference(fixture_report)
+
     def test_csv_row_layout(self, fixture_report):
         report = dataclasses.replace(
             fixture_report, records=(_record_ab(),), matches=(), warnings=())

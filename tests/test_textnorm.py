@@ -102,6 +102,15 @@ class TestLoadLexicon:
             load_lexicon(b"# c\r\n\xd1\x83\xd0\xb3\xd0\xbb\xd1\x8b\t\xff\n")
         assert (exc.value.line, exc.value.column) == (2, 6)
 
+    def test_byte_order_mark_dropped(self):
+        lexicon = load_lexicon(b"\xef\xbb\xbfcats\tcat\n")
+        assert lexicon.entries == {"cats": "cat"}
+
+    def test_byte_order_mark_not_counted_as_a_column(self):
+        with pytest.raises(InvalidUtf8Error) as exc:
+            load_lexicon(b"\xef\xbb\xbfab\xe9\tx\n")
+        assert (exc.value.line, exc.value.column) == (1, 3)
+
 
 class TestLoadStoplist:
     def test_basic(self):
@@ -114,6 +123,11 @@ class TestLoadStoplist:
             load_stoplist(b"the\n\nof\x80\n")
         assert (exc.value.line, exc.value.column) == (3, 3)
         assert "0x80" in str(exc.value)
+
+    def test_byte_order_mark_dropped(self):
+        assert load_stoplist(b"\xef\xbb\xbfof\nthe\n").forms == {"of", "the"}
+        # only one mark is dropped; a second is text
+        assert load_stoplist(b"\xef\xbb\xbf\xef\xbb\xbfof\n").forms == {"\ufeffof"}
 
     def test_default_covers_pp_prepositions(self):
         for word in ("up", "to", "the", "after", "of"):
