@@ -2,22 +2,33 @@
 
 Matching a phrase means greedily pairing its lemmas with every label's
 lemmas at character-set granularity, for every entry of the label index.
-``CompiledLabelIndex`` packs the index once into a lemma-by-character
-incidence matrix; ``score_counts`` then pairs one phrase lemma at a time
-across all entries with array operations, so no Python loop runs per entry.
+``LabelIndex`` packs its entries once into a lemma-by-character incidence
+matrix; ``score_counts`` then pairs one phrase lemma at a time across all
+entries with array operations, so no Python loop runs per entry.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable
+
 import numpy as np
 
 from .errors import EmptySequenceError
-from .ontology import IndexEntry, LabelIndex
 from .textnorm import LemmaSequence
 
 
-class CompiledLabelIndex:
-    """A LabelIndex packed once for batch scoring of many phrases.
+@dataclass(frozen=True)
+class IndexEntry:
+    """One (concept, label) pair with the label's normalized lemma sequence."""
+
+    iri: str
+    label: str
+    lemmas: LemmaSequence
+
+
+class LabelIndex:
+    """Index entries packed once for batch scoring of many phrases.
 
     The lemmas of all entries are numbered in order; entry ``j`` owns lemmas
     ``starts[j]`` to ``starts[j] + lengths[j] - 1``. Row ``k`` of
@@ -27,9 +38,8 @@ class CompiledLabelIndex:
     equally scored labels.
     """
 
-    def __init__(self, index: LabelIndex):
-        self.entries: tuple[IndexEntry, ...] = index.entries
-        entries = self.entries
+    def __init__(self, entries: Iterable[IndexEntry]):
+        self.entries = entries = tuple(entries)
         for entry in entries:
             # an entry without lemmas would leave reduceat an empty segment
             if not entry.lemmas:
@@ -49,14 +59,11 @@ class CompiledLabelIndex:
         self.rank = np.empty(len(order), dtype=np.int64)
         self.rank[order] = np.arange(len(order))
 
-    @classmethod
-    def compile(cls, index: "LabelIndex | CompiledLabelIndex") -> "CompiledLabelIndex":
-        if isinstance(index, CompiledLabelIndex):
-            return index
-        return cls(index)
+    def __len__(self) -> int:
+        return len(self.entries)
 
 
-def score_counts(index: CompiledLabelIndex, seq: LemmaSequence, word_threshold: float):
+def score_counts(index: LabelIndex, seq: LemmaSequence, word_threshold: float):
     """Greedy fuzzy-match counts of one phrase against every index entry.
 
     Phrase lemmas are taken in order; each pairs with the unused entry lemma

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--optimal-only", action="store_true",
                         help="report only pairs with a strictly shorter full path")
     parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker threads for matching and path search (default 1)")
+                        help="accepted and ignored; every run is serial")
     parser.add_argument("--out", required=True, help="report output file")
     return parser
 
@@ -99,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             out=args.out,
         )
         with _atomic_output(args.out) as handle:
-            report = run(config, jobs=args.jobs)
+            report = run(config)
             handle.write(serialize_report(report, config.format))
     except InternalInvariantError as exc:
         print(f"onto-enrich: internal error: {exc}", file=sys.stderr)

@@ -100,9 +100,8 @@ class _CorpusBuilder:
         self._buffer: list[str] = []
         self._term: PhraseKind | None = None
 
-    def _fail(self, message: str) -> None:
-        raise MalformedXmlError(
-            message, self._p.CurrentLineNumber, self._p.CurrentColumnNumber + 1)
+    def _fail(self, message: str, error=MalformedXmlError) -> None:
+        raise error(message, self._p.CurrentLineNumber, self._p.CurrentColumnNumber + 1)
 
     # --- expat callbacks -------------------------------------------------
 
@@ -124,10 +123,9 @@ class _CorpusBuilder:
                 self._fail("'question' takes only the 'id' attribute")
             qid = attrs.get("id", "")
             if not qid:
-                raise MissingQuestionIdError(
-                    f"question without id at line {self._p.CurrentLineNumber}")
+                self._fail("question without id", MissingQuestionIdError)
             if qid in self._seen_ids:
-                raise DuplicateQuestionIdError(f"duplicate question id {qid!r}")
+                self._fail(f"duplicate question id {qid!r}", DuplicateQuestionIdError)
             self._seen_ids.add(qid)
             self._qid = qid
             self._text_spans = None
@@ -211,9 +209,9 @@ _REJECTED_BOMS = (b"\x00\x00\xfe\xff", b"\xff\xfe\x00\x00", b"\xff\xfe", b"\xfe\
 def parse_corpus(data: bytes) -> QuestionCorpus:
     """Parse corpus XML bytes into an immutable QuestionCorpus.
 
-    Raises MalformedXmlError (with line/column), MissingQuestionIdError or
-    DuplicateQuestionIdError. Parsing is pure: the same bytes always produce
-    the same corpus value.
+    Raises MalformedXmlError or its subclasses MissingQuestionIdError and
+    DuplicateQuestionIdError, each with line and column. Parsing is pure:
+    the same bytes always produce the same corpus value.
     """
     if data.startswith(_REJECTED_BOMS):
         raise MalformedXmlError("corpus files must be UTF-8", 1, 1)

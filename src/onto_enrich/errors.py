@@ -31,11 +31,11 @@ class InvalidUtf8Error(OntoEnrichError):
         self.column = column
 
 
-class MissingQuestionIdError(OntoEnrichError):
+class MissingQuestionIdError(MalformedXmlError):
     """A question element has no id attribute, or an empty one."""
 
 
-class DuplicateQuestionIdError(OntoEnrichError):
+class DuplicateQuestionIdError(MalformedXmlError):
     """Two questions in one corpus share an id."""
 
 

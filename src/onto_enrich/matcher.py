@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _scoring
-from ._scoring import CompiledLabelIndex
+from ._scoring import LabelIndex
 from .corpus import MarkedPhrase, Question
 from .errors import EmptySequenceError
-from .ontology import LabelIndex
 from .textnorm import LemmaSequence, Lexicon, Stoplist, normalize_phrase
 
 
@@ -93,7 +92,7 @@ def seq_similarity(a: LemmaSequence, b: LemmaSequence, word_threshold: float) ->
 def match_phrase(
     phrase: MarkedPhrase,
     seq: LemmaSequence,
-    index: LabelIndex | CompiledLabelIndex,
+    index: LabelIndex,
     config: MatchConfig,
 ) -> ConceptMatch | None:
     """Best concept for one normalized phrase, or None below threshold.
@@ -103,24 +102,23 @@ def match_phrase(
     """
     if not seq:
         raise EmptySequenceError(f"phrase {phrase.raw!r} normalized to nothing")
-    compiled = CompiledLabelIndex.compile(index)
-    if not compiled.entries:
+    if not index.entries:
         return None
-    m, d = _scoring.score_counts(compiled, seq, config.word_threshold)
+    m, d = _scoring.score_counts(index, seq, config.word_threshold)
     score = m / d
     best = score.max()
     if best < config.seq_threshold:
         return None
     # m and d are small integers, so equal fractions give equal floats and
     # different fractions different floats: == finds the exact ties
-    chosen = compiled.entries[int(np.argmin(np.where(score == best, compiled.rank, score.size)))]
+    chosen = index.entries[int(np.argmin(np.where(score == best, index.rank, score.size)))]
     return ConceptMatch(phrase.question_id, phrase, chosen.iri, chosen.label, float(best))
 
 
 def match_question(
     question: Question,
     phrases: list[MarkedPhrase],
-    index: LabelIndex | CompiledLabelIndex,
+    index: LabelIndex,
     lexicon: Lexicon,
     stoplist: Stoplist,
     config: MatchConfig,
@@ -131,13 +129,12 @@ def match_question(
     attempt. When several phrases hit the same concept only the highest
     score survives (earliest phrase on ties); results keep phrase order.
     """
-    compiled = CompiledLabelIndex.compile(index)
     by_concept: dict[str, ConceptMatch] = {}
     for phrase in phrases:
         seq = normalize_phrase(phrase.raw, lexicon, stoplist)
         if not seq:
             continue
-        match = match_phrase(phrase, seq, compiled, config)
+        match = match_phrase(phrase, seq, index, config)
         if match is None:
             continue
         held = by_concept.get(match.concept_iri)

@@ -18,8 +18,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from ._scoring import IndexEntry, LabelIndex
 from .errors import MalformedTripleError, SelfLoopEdgeError, UnterminatedLiteralError
-from .textnorm import LemmaSequence, Lexicon, Stoplist, decode_lines, normalize_phrase
+from .textnorm import Lexicon, Stoplist, decode_lines, normalize_phrase
 
 DEFAULT_HIERARCHICAL_PREDICATES = frozenset({"rdfs:subClassOf", "ome:hasChild"})
 DEFAULT_LABEL_PREDICATES = frozenset({"rdfs:label"})
@@ -192,11 +193,12 @@ class OntologyGraph:
     concepts: dict[str, Concept]
     edges: tuple[RelationEdge, ...]
     hierarchical_predicates: frozenset[str]
-    # adjacency caches, derived from edges; excluded from equality
+    # adjacency caches, derived from edges; not constructor arguments, so
+    # dataclasses.replace builds fresh ones instead of sharing the original's
     _adj_full: dict[str, tuple[tuple[str, str], ...]] = field(
-        compare=False, repr=False, default_factory=dict)
+        init=False, compare=False, repr=False, default_factory=dict)
     _adj_hier: dict[str, tuple[tuple[str, str], ...]] = field(
-        compare=False, repr=False, default_factory=dict)
+        init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         full: dict[str, set[tuple[str, str]]] = {iri: set() for iri in self.concepts}
@@ -261,23 +263,6 @@ def build_graph(
     return OntologyGraph(concepts, edges, frozenset(hierarchical_predicates))
 
 
-@dataclass(frozen=True)
-class IndexEntry:
-    """One (concept, label) pair with the label's normalized lemma sequence."""
-
-    iri: str
-    label: str
-    lemmas: LemmaSequence
-
-
-@dataclass(frozen=True)
-class LabelIndex:
-    entries: tuple[IndexEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def build_label_index(
     graph: OntologyGraph,
     lexicon: Lexicon,
@@ -286,8 +271,9 @@ def build_label_index(
 ) -> LabelIndex:
     """Normalize every concept label into a matchable entry.
 
-    Entries are sorted by (iri, label). Labels that normalize to an empty
-    lemma sequence are dropped; each drop is reported through ``on_warning``.
+    Entries are sorted by (iri, label) and packed for scoring. Labels that
+    normalize to an empty lemma sequence are dropped; each drop is reported
+    through ``on_warning``.
     """
     entries: list[IndexEntry] = []
     for iri in sorted(graph.concepts):
@@ -298,4 +284,4 @@ def build_label_index(
                 entries.append(IndexEntry(iri, text, lemmas))
             elif on_warning is not None:
                 on_warning(f"label {text!r} of <{iri}> normalizes to empty; not indexed")
-    return LabelIndex(tuple(entries))
+    return LabelIndex(entries)

@@ -3,10 +3,9 @@
 Stage order: parse corpus, load lexicon/stoplist, build graph and label
 index, match every question, enumerate co-occurring concept pairs, compare
 hierarchical against full shortest paths for every unique pair (one search
-per source concept and edge filter), aggregate
-question ids, and emit a deterministically ordered report. Matching and
-pair comparison are pure per-item and may fan out over threads; results are
-re-ordered afterwards so parallel runs serialize byte-identically.
+per source concept and edge filter), aggregate question ids, and emit a
+deterministically ordered report. Every stage runs once, in order, in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import csv
 import io
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring  # json's string escaper, in C
@@ -25,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import extract_phrases, parse_corpus
 from .errors import InternalInvariantError, OntoEnrichError
-from .matcher import CompiledLabelIndex, ConceptMatch, MatchConfig, match_question
+from .matcher import ConceptMatch, MatchConfig, match_question
 from .ontology import (
     DEFAULT_HIERARCHICAL_PREDICATES,
     DEFAULT_LABEL_PREDICATES,
@@ -97,9 +95,8 @@ def _file_context(path: str):
         raise
 
 
-def run(config: RunConfig, jobs: int = 1) -> Report:
-    """Execute the whole pipeline; ``jobs`` > 1 fans matching and path
-    comparison out over threads without changing the result."""
+def run(config: RunConfig) -> Report:
+    """Execute the whole pipeline and return the report."""
     with _file_context(config.corpus):
         corpus = parse_corpus(Path(config.corpus).read_bytes())
     lexicon = Lexicon()
@@ -119,16 +116,18 @@ def run(config: RunConfig, jobs: int = 1) -> Report:
         )
     warnings: list[str] = []
     index = build_label_index(graph, lexicon, stoplist, on_warning=warnings.append)
-    compiled = CompiledLabelIndex.compile(index)
 
-    matches = _match_all(corpus, compiled, lexicon, stoplist, config.match, jobs)
+    matches = [
+        match_question(q, extract_phrases(q), index, lexicon, stoplist, config.match)
+        for q in corpus.questions
+    ]
 
     pair_questions: dict[tuple[str, str], set[str]] = {}
     for per_question in matches:
         for a, b, qid in enumerate_pairs(per_question):
             pair_questions.setdefault((a, b), set()).add(qid)
 
-    records = _compare_all(graph, pair_questions, config.max_depth, jobs)
+    records = _compare_all(graph, pair_questions, config.max_depth)
     records.sort(key=_record_sort_key)
     if config.optimal_only:
         records = [r for r in records if r.optimal]
@@ -148,35 +147,14 @@ def run(config: RunConfig, jobs: int = 1) -> Report:
     return report
 
 
-def _match_all(corpus, compiled, lexicon, stoplist, match_config, jobs):
-    def one(question):
-        return match_question(
-            question, extract_phrases(question), compiled, lexicon, stoplist, match_config)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, corpus.questions))
-    return [one(q) for q in corpus.questions]
-
-
-def _compare_all(graph, pair_questions, max_depth, jobs):
+def _compare_all(graph, pair_questions, max_depth):
     # pairs sort by concept_a, so each group is one source's searches; its
     # dsts map to their sorted question ids, in order
-    groups = [
-        (src, {b: tuple(sorted(pair_questions[src, b])) for _, b in pairs})
-        for src, pairs in itertools.groupby(sorted(pair_questions), key=itemgetter(0))
-    ]
-
-    def one(group):
-        src, ids = group
-        return compare_from(graph, src, ids, max_depth, question_ids=ids)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_source = list(pool.map(one, groups))
-    else:
-        per_source = [one(g) for g in groups]
-    return [record for records in per_source for record in records]
+    records = []
+    for src, pairs in itertools.groupby(sorted(pair_questions), key=itemgetter(0)):
+        ids = {b: tuple(sorted(pair_questions[src, b])) for _, b in pairs}
+        records.extend(compare_from(graph, src, ids, max_depth, question_ids=ids))
+    return records
 
 
 def _check_path(record, path, edges):

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from onto_enrich import (
-    CompiledLabelIndex,
     build_graph,
     build_label_index,
     load_lexicon,
@@ -41,11 +40,6 @@ def fixture_stoplist():
 @pytest.fixture(scope="session")
 def fixture_index(fixture_graph, fixture_lexicon):
     return build_label_index(fixture_graph, fixture_lexicon, DEFAULT_STOPLIST)
-
-
-@pytest.fixture(scope="session")
-def fixture_compiled_index(fixture_index):
-    return CompiledLabelIndex.compile(fixture_index)
 
 
 @pytest.fixture(scope="session")

@@ -128,7 +128,7 @@ class TestExitCodes:
         from onto_enrich import cli
         from onto_enrich.errors import InternalInvariantError
 
-        def broken_run(config, jobs=1):
+        def broken_run(config):
             raise InternalInvariantError("induced for the exit-code contract")
 
         monkeypatch.setattr(cli, "run", broken_run)
@@ -142,7 +142,7 @@ class TestOutput:
                                              monkeypatch):
         from onto_enrich import cli
 
-        def must_not_run(config, jobs=1):
+        def must_not_run(config):
             raise AssertionError("pipeline ran before --out was checked")
 
         monkeypatch.setattr(cli, "run", must_not_run)

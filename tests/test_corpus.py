@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onto_enrich.corpus import (
     AnswerKind,
@@ -14,6 +16,7 @@ from onto_enrich.errors import (
     DuplicateQuestionIdError,
     MalformedXmlError,
     MissingQuestionIdError,
+    OntoEnrichError,
 )
 from support import serialize_corpus
 
@@ -110,14 +113,18 @@ class TestRejects:
                          b'</TERM1></text></question></corpus>')
 
     def test_duplicate_question_id(self):
-        with pytest.raises(DuplicateQuestionIdError):
-            parse_corpus(b'<corpus><question id="q"><text>a</text></question>'
-                         b'<question id="q"><text>b</text></question></corpus>')
+        with pytest.raises(DuplicateQuestionIdError) as exc:
+            parse_corpus(b'<corpus><question id="q"><text>a</text></question>\n'
+                         b'  <question id="q"><text>b</text></question></corpus>')
+        assert (exc.value.line, exc.value.column) == (2, 3)
+        assert str(exc.value) == "duplicate question id 'q' (line 2, column 3)"
 
     @pytest.mark.parametrize("attr", [b"", b' id=""'])
     def test_missing_or_empty_question_id(self, attr):
-        with pytest.raises(MissingQuestionIdError):
-            parse_corpus(b"<corpus><question" + attr + b"><text>a</text></question></corpus>")
+        with pytest.raises(MissingQuestionIdError) as exc:
+            parse_corpus(b"<corpus>\n<question" + attr + b"><text>a</text></question></corpus>")
+        assert (exc.value.line, exc.value.column) == (2, 1)
+        assert str(exc.value) == "question without id (line 2, column 1)"
 
     def test_non_utf8_declaration(self):
         xml = '<?xml version="1.0" encoding="latin-1"?><corpus></corpus>'.encode("latin-1")
@@ -237,3 +244,40 @@ class TestRoundTrip:
                     sum(1 for s in a.body.spans if s.term is not None)
                     for a in q.answers if a.kind is AnswerKind.TEXT)
                 assert len(extract_phrases(q)) == expected
+
+
+# Pieces of corpus XML, well and badly placed: every element and attribute
+# of the format, ids that repeat or are empty, entities, declarations, a
+# UTF-8 BOM, bytes that are not UTF-8 and BOMs of other encodings.
+_XML_FRAGMENTS = st.sampled_from([
+    b"<corpus>", b"</corpus>", b'<question id="a">', b'<question id="b">',
+    b"<question>", b'<question id="">', b"</question>", b"<text>", b"</text>",
+    b"<answer>", b'<answer kind="numeric">', b'<answer kind="x">', b"</answer>",
+    b"<TERM1>", b"</TERM1>", b"<TERM2>", b"</TERM2>", b"<other/>", b"x", b" ",
+    b"\n", b"\r\n", b"&amp;", b"&bad;", b"&#0;", b"<!-- c -->", b"<![CDATA[<a]]>",
+    b'<?xml version="1.0"?>', b'<?xml version="1.0" encoding="latin-1"?>',
+    b"\xef\xbb\xbf", b"\xff", b"\xfe\xff", b"\xe9", "\u00e9\U0001d538".encode(), b"\x00",
+])
+
+
+class TestArbitraryBytes:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.lists(_XML_FRAGMENTS, max_size=24).map(b"".join),
+        st.builds(lambda a, b, c: a + b + c,
+                  st.lists(_XML_FRAGMENTS, max_size=12).map(b"".join),
+                  st.binary(max_size=3),
+                  st.lists(_XML_FRAGMENTS, max_size=12).map(b"".join)),
+    ))
+    @example(b'<corpus><question id="a"><text>x</text></question>'
+             b'<question id="a"><text>y</text></question></corpus>')
+    @example(b'<corpus><question><text>x</text></question></corpus>')
+    def test_parse_or_name_a_position(self, data):
+        try:
+            corpus = parse_corpus(data)
+        except OntoEnrichError as exc:
+            assert exc.line >= 1 and exc.column >= 1
+            assert f"(line {exc.line}, column {exc.column})" in str(exc)
+        else:
+            assert all(q.id for q in corpus.questions)

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from onto_enrich._scoring import IndexEntry, LabelIndex
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import EmptySequenceError
 from onto_enrich.matcher import (
-    CompiledLabelIndex,
     MatchConfig,
     char_jaccard,
     match_phrase,
     match_question,
     seq_similarity,
 )
-from onto_enrich.ontology import IndexEntry, LabelIndex
 from onto_enrich.textnorm import Lexicon, Stoplist
 from oracles import reference_counts
 
@@ -119,9 +118,9 @@ class TestMatchPhrase:
         assert match.score == 1.0
         assert match.matched_label == "Right angle"
 
-    def test_no_match_below_threshold(self, fixture_compiled_index):
+    def test_no_match_below_threshold(self, fixture_index):
         match = match_phrase(
-            _phrase("dodecahedron"), ("dodecahedron",), fixture_compiled_index, self.CFG)
+            _phrase("dodecahedron"), ("dodecahedron",), fixture_index, self.CFG)
         assert match is None
 
     def test_empty_index(self):
@@ -157,21 +156,21 @@ class TestMatchPhrase:
         match = match_phrase(_phrase("a b"), ("a", "b"), index, self.CFG)
         assert match.matched_label == "a b"
 
-    def test_score_meets_threshold_invariant(self, fixture_compiled_index):
+    def test_score_meets_threshold_invariant(self, fixture_index):
         rng = random.Random(3)
         vocab = ["triangle", "angle", "segment", "circle", "point", "lines", "right"]
         for _ in range(100):
             seq = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
             cfg = MatchConfig(rng.random(), rng.random())
-            match = match_phrase(_phrase(" ".join(seq)), seq, fixture_compiled_index, cfg)
+            match = match_phrase(_phrase(" ".join(seq)), seq, fixture_index, cfg)
             if match is not None:
                 assert match.score >= cfg.seq_threshold
 
-    def test_agrees_with_scalar_brute_force(self, fixture_compiled_index):
+    def test_agrees_with_scalar_brute_force(self, fixture_index):
         # the batch kernel path must pick exactly what a direct scan picks
         rng = random.Random(5)
         vocab = ["triangle", "middle", "line", "angle", "right", "segment", "circl"]
-        entries = fixture_compiled_index.entries
+        entries = fixture_index.entries
         for _ in range(50):
             seq = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
             cfg = MatchConfig(0.7, 0.4)
@@ -183,7 +182,7 @@ class TestMatchPhrase:
                 key = (-score, len(e.lemmas), e.iri, e.label)
                 if best is None or key < best[0]:
                     best = (key, e, score)
-            match = match_phrase(_phrase(" ".join(seq)), seq, fixture_compiled_index, cfg)
+            match = match_phrase(_phrase(" ".join(seq)), seq, fixture_index, cfg)
             if best is None:
                 assert match is None
             else:
@@ -214,33 +213,33 @@ class TestMatchPhrase:
 class TestMatchQuestion:
     CFG = MatchConfig()
 
-    def test_fixture_question_pair(self, fixture_corpus, fixture_compiled_index,
+    def test_fixture_question_pair(self, fixture_corpus, fixture_index,
                                    fixture_lexicon, fixture_stoplist):
         from onto_enrich.corpus import extract_phrases
         q01 = fixture_corpus.questions[0]
-        matches = match_question(q01, extract_phrases(q01), fixture_compiled_index,
+        matches = match_question(q01, extract_phrases(q01), fixture_index,
                                  fixture_lexicon, fixture_stoplist, self.CFG)
         assert [m.concept_iri for m in matches] == \
             ["c:Perpendicular", "c:TriangleMiddleLine"]
 
-    def test_no_phrases(self, fixture_compiled_index, fixture_lexicon, fixture_stoplist):
+    def test_no_phrases(self, fixture_index, fixture_lexicon, fixture_stoplist):
         from onto_enrich.corpus import MarkedText, Question, TextSpan
         question = Question("q", MarkedText((TextSpan(None, "text"),)), ())
-        assert match_question(question, [], fixture_compiled_index,
+        assert match_question(question, [], fixture_index,
                               fixture_lexicon, fixture_stoplist, self.CFG) == []
 
-    def test_duplicate_concept_collapsed(self, fixture_compiled_index,
+    def test_duplicate_concept_collapsed(self, fixture_index,
                                          fixture_lexicon, fixture_stoplist):
         from onto_enrich.corpus import MarkedText, Question, TextSpan
         question = Question("q", MarkedText((TextSpan(PhraseKind.NP, "square"),)), ())
         phrases = [_phrase("square", "q", 0), _phrase("squares", "q", 1)]
-        matches = match_question(question, phrases, fixture_compiled_index,
+        matches = match_question(question, phrases, fixture_index,
                                  fixture_lexicon, fixture_stoplist, self.CFG)
         assert len(matches) == 1
         assert matches[0].concept_iri == "c:Square"
         assert matches[0].phrase.ordinal == 0
 
-    def test_stoplisted_phrase_not_attempted(self, fixture_compiled_index,
+    def test_stoplisted_phrase_not_attempted(self, fixture_index,
                                              fixture_lexicon, fixture_stoplist, monkeypatch):
         from onto_enrich import matcher as matcher_module
         from onto_enrich.corpus import MarkedText, Question, TextSpan
@@ -249,7 +248,7 @@ class TestMatchQuestion:
         monkeypatch.setattr(matcher_module, "match_phrase",
                             lambda *a, **k: calls.append(a) or original(*a, **k))
         question = Question("q", MarkedText((TextSpan(PhraseKind.PP, "of the"),)), ())
-        matches = match_question(question, [_phrase("of the")], fixture_compiled_index,
+        matches = match_question(question, [_phrase("of the")], fixture_index,
                                  fixture_lexicon, fixture_stoplist, MatchConfig(0.75, 0.0))
         assert matches == []
         assert calls == []

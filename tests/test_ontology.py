@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 
@@ -300,6 +301,13 @@ class TestBuildGraph:
             for hier in (True, False):
                 pairs = fixture_graph.neighbors(iri, hierarchical_only=hier)
                 assert list(pairs) == sorted(pairs)
+
+    def test_replace_leaves_the_original_intact(self):
+        graph = build_graph(parse_triples(b"<a> <p> <b> .\n<b> <p> <c> .\n"))
+        copy = dataclasses.replace(graph, edges=graph.edges[:1])
+        assert graph.neighbors("b", False) == (("a", "p"), ("c", "p"))
+        assert copy.neighbors("b", False) == (("a", "p"),)
+        assert copy.neighbors("c", False) == ()
 
 
 class TestBuildLabelIndex:

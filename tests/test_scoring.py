@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onto_enrich._scoring import CompiledLabelIndex, score_counts
+from onto_enrich._scoring import IndexEntry, LabelIndex, score_counts
 from onto_enrich.errors import EmptySequenceError
 from onto_enrich.matcher import seq_similarity
-from onto_enrich.ontology import IndexEntry, LabelIndex
 from oracles import reference_counts
 
 # Latin, Cyrillic and a non-BMP letter: few enough that lemmas overlap
@@ -35,13 +34,13 @@ outside_sequences = st.lists(outside_lemmas, min_size=1, max_size=4).map(tuple)
 SETTINGS = settings(max_examples=200, deadline=None)
 
 
-def _compile(entries):
-    return CompiledLabelIndex(LabelIndex(tuple(
-        IndexEntry(f"c:{j}", f"label {j}", seq) for j, seq in enumerate(entries))))
+def _index(entries):
+    return LabelIndex(
+        IndexEntry(f"c:{j}", f"label {j}", seq) for j, seq in enumerate(entries))
 
 
 def _assert_matches_reference(phrase, entries, threshold):
-    m, d = score_counts(_compile(entries), phrase, threshold)
+    m, d = score_counts(_index(entries), phrase, threshold)
     ref_m, ref_d = reference_counts(phrase, entries, threshold)
     assert m.tolist() == ref_m.tolist()
     assert d.tolist() == ref_d.tolist()
@@ -49,18 +48,18 @@ def _assert_matches_reference(phrase, entries, threshold):
 
 class TestEncoding:
     def test_encode_sequence(self):
-        index = _compile([("ba", "aab")])
+        index = _index([("ba", "aab")])
         assert index.columns == {"a": 0, "b": 1}
         assert index.incidence.tolist() == [[1, 1], [1, 1]]
         assert index.sizes.tolist() == [2, 2]
 
     def test_encode_empty(self):
-        index = _compile([])
+        index = _index([])
         assert index.incidence.shape == (0, 0)
         assert index.lengths.size == 0 and index.rank.size == 0
 
     def test_index_shape(self):
-        index = _compile([("ab",), ("a", "b")])
+        index = _index([("ab",), ("a", "b")])
         assert index.starts.tolist() == [0, 1]
         assert index.owner.tolist() == [0, 1, 1]
         assert index.incidence.tolist() == [[1, 1], [1, 0], [0, 1]]
@@ -70,7 +69,7 @@ class TestEncoding:
 
 class TestBackendEquivalence:
     def test_worked_example(self):
-        index = _compile([("triangle", "middle", "line"), ("line",)])
+        index = _index([("triangle", "middle", "line"), ("line",)])
         m, d = score_counts(index, ("middle", "line"), 0.75)
         assert m.tolist() == [2, 1]
         assert d.tolist() == [3, 2]
@@ -85,7 +84,7 @@ class TestBackendEquivalence:
     @given(phrase=sequences, entries=entry_lists)
     def test_threshold_bounds(self, phrase, entries, threshold):
         _assert_matches_reference(phrase, entries, threshold)
-        m, _ = score_counts(_compile(entries), phrase, threshold)
+        m, _ = score_counts(_index(entries), phrase, threshold)
         for j, entry in enumerate(entries):
             if threshold == 0.0:
                 # every lemma pair clears 0: pairing stops when a side runs out
@@ -99,21 +98,21 @@ class TestBackendEquivalence:
     @SETTINGS
     @given(sequences, entry_lists, thresholds)
     def test_matches_scalar_seq_similarity(self, phrase, entries, threshold):
-        m, d = score_counts(_compile(entries), phrase, threshold)
+        m, d = score_counts(_index(entries), phrase, threshold)
         for j, entry in enumerate(entries):
             assert m[j] / d[j] == seq_similarity(phrase, entry, threshold)
 
     @SETTINGS
     @given(entry_lists, thresholds)
     def test_empty_phrase(self, entries, threshold):
-        m, d = score_counts(_compile(entries), (), threshold)
+        m, d = score_counts(_index(entries), (), threshold)
         assert m.tolist() == [0] * len(entries)
         assert d.tolist() == [len(e) for e in entries]
 
     @SETTINGS
     @given(sequences, thresholds)
     def test_empty_index(self, phrase, threshold):
-        m, d = score_counts(_compile([]), phrase, threshold)
+        m, d = score_counts(_index([]), phrase, threshold)
         assert m.size == 0 and d.size == 0
 
     @SETTINGS
@@ -123,4 +122,4 @@ class TestBackendEquivalence:
 
     def test_entry_without_lemmas_rejected(self):
         with pytest.raises(EmptySequenceError):
-            _compile([("line",), ()])
+            _index([("line",), ()])

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onto_enrich.errors import InvalidUtf8Error, MalformedLexiconLineError
+from onto_enrich.errors import InvalidUtf8Error, MalformedLexiconLineError, OntoEnrichError
 from onto_enrich.textnorm import (
     DEFAULT_STOPLIST,
     Lexicon,
@@ -170,3 +172,43 @@ class TestProperties:
             first = lex.lemma(token)
             assert first == lex.lemma(token)
             assert first
+
+
+# Pieces of lexicon and stoplist lines: fields, tabs, comments, line breaks
+# (also those only str.splitlines knows), a UTF-8 BOM and bytes that are not
+# UTF-8.
+_LINE_FRAGMENTS = st.sampled_from([
+    b"cats", b"cat", b"\xd1\x83\xd0\xb3", b"\t", b" ", b"#", b"\n", b"\r\n", b"\r",
+    "\u2028\u2029\x85\x0b\x0c\x1e".encode(), b"\xef\xbb\xbf", b"\xff", b"\xe9", b"\xd1", b"\x00",
+])
+_TEXT_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(_LINE_FRAGMENTS, max_size=24).map(b"".join),
+)
+
+
+def _assert_names_a_line(exc: OntoEnrichError):
+    assert exc.line >= 1
+    assert f"(line {exc.line}" in str(exc)
+
+
+class TestArbitraryBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXT_BYTES)
+    def test_lexicon_loads_or_names_a_line(self, data):
+        try:
+            lexicon = load_lexicon(data)
+        except OntoEnrichError as exc:
+            _assert_names_a_line(exc)
+        else:
+            assert all(surface and lemma for surface, lemma in lexicon.entries.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXT_BYTES)
+    def test_stoplist_loads_or_names_a_line(self, data):
+        try:
+            stoplist = load_stoplist(data)
+        except OntoEnrichError as exc:
+            _assert_names_a_line(exc)
+        else:
+            assert all(form and not form.startswith("#") for form in stoplist.forms)
