@@ -2,9 +2,13 @@
 
 Matching a phrase means greedily pairing its lemmas with every label's
 lemmas at character-set granularity, for every entry of the label index.
-``LabelIndex`` packs its entries once into a lemma-by-character incidence
-matrix; ``score_counts`` then pairs one phrase lemma at a time across all
-entries with array operations, so no Python loop runs per entry.
+``LabelIndex`` packs the distinct lemmas of its entries once into a
+lemma-by-character incidence matrix, one row per distinct lemma however many
+labels share it, and maps every lemma occurrence to its row through
+``lemma_id``. ``score_counts`` then pairs one phrase lemma at a time with
+array operations: it computes the character Jaccard once per distinct row,
+gathers it out to the occurrences, and pairs across all entries at once, so
+no Python loop runs per entry or per label lemma.
 """
 
 from __future__ import annotations
@@ -30,12 +34,17 @@ class IndexEntry:
 class LabelIndex:
     """Index entries packed once for batch scoring of many phrases.
 
-    The lemmas of all entries are numbered in order; entry ``j`` owns lemmas
-    ``starts[j]`` to ``starts[j] + lengths[j] - 1``. Row ``k`` of
-    ``incidence`` holds 1 in column ``columns[c]`` for each distinct
-    character ``c`` of lemma ``k``, and ``sizes[k]`` counts them. ``rank``
-    orders the entries by (lemma count, iri, label), the tie-break between
-    equally scored labels.
+    The lemma occurrences of all entries are numbered in order; entry ``j``
+    owns occurrences ``starts[j]`` to ``starts[j] + lengths[j] - 1``, and
+    ``owner[k]`` is the entry of occurrence ``k``. Equal lemmas share one
+    row: ``lemma_id[k]`` is the row of occurrence ``k``, rows numbered by
+    first occurrence. Row ``r`` of ``incidence`` holds 1 in column
+    ``columns[c]`` for each distinct character ``c`` of lemma ``r``, and
+    ``sizes[r]`` counts them. ``rank`` orders the entries by (lemma count,
+    iri, label), the tie-break between equally scored labels. ``memo`` is
+    filled by ``matcher.match_phrase``: it maps (lemma sequence,
+    word_threshold, seq_threshold) to the winning entry's position and
+    score, or None when no label clears the threshold.
     """
 
     def __init__(self, entries: Iterable[IndexEntry]):
@@ -45,12 +54,22 @@ class LabelIndex:
             if not entry.lemmas:
                 raise EmptySequenceError(
                     f"index entry {entry.label!r} of <{entry.iri}> has no lemmas")
-        lemma_sets = [set(lemma) for entry in entries for lemma in entry.lemmas]
-        self.columns = {c: i for i, c in enumerate(sorted(set().union(*lemma_sets)))}
-        self.incidence = np.zeros((len(lemma_sets), len(self.columns)), dtype=np.uint8)
-        self.incidence[[k for k, chars in enumerate(lemma_sets) for _ in chars],
-                       [self.columns[c] for chars in lemma_sets for c in chars]] = 1
-        self.sizes = np.array([len(chars) for chars in lemma_sets], dtype=np.int64)
+        rows: dict[str, int] = {}
+        self.lemma_id = np.fromiter(
+            (rows.setdefault(lemma, len(rows)) for entry in entries for lemma in entry.lemmas),
+            dtype=np.intp)
+        distinct = list(rows)
+        joined = "".join(distinct)
+        alphabet = sorted(set(joined))
+        self.columns = {c: i for i, c in enumerate(alphabet)}
+        # column of every character of every distinct lemma, by binary search
+        # over the sorted alphabet's code points
+        char_columns = np.searchsorted(np.fromiter(map(ord, alphabet), dtype=np.int64),
+                                       np.fromiter(map(ord, joined), dtype=np.int64))
+        self.incidence = np.zeros((len(distinct), len(alphabet)), dtype=np.uint8)
+        self.incidence[np.repeat(np.arange(len(distinct)),
+                                 np.fromiter(map(len, distinct), dtype=np.int64)), char_columns] = 1
+        self.sizes = self.incidence.sum(axis=1, dtype=np.int64)
         self.lengths = np.array([len(e.lemmas) for e in entries], dtype=np.int64)
         self.starts = np.cumsum(self.lengths) - self.lengths
         self.owner = np.repeat(np.arange(len(entries)), self.lengths)
@@ -58,6 +77,7 @@ class LabelIndex:
             len(entries[j].lemmas), entries[j].iri, entries[j].label))
         self.rank = np.empty(len(order), dtype=np.int64)
         self.rank[order] = np.arange(len(order))
+        self.memo: dict[tuple[LemmaSequence, float, float], tuple[int, float] | None] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -71,7 +91,7 @@ def score_counts(index: LabelIndex, seq: LemmaSequence, word_threshold: float):
     earliest position winning ties. Returns per-entry int arrays (m, d): the
     matched pair count and |A| + |B| - m.
     """
-    n_lemmas = index.sizes.size
+    n_lemmas = index.lemma_id.size
     positions = np.arange(n_lemmas)
     taken = np.zeros(n_lemmas, dtype=bool)
     m = np.zeros(len(index.entries), dtype=np.int64)
@@ -80,7 +100,8 @@ def score_counts(index: LabelIndex, seq: LemmaSequence, word_threshold: float):
         # characters outside the index alphabet intersect nothing
         inter = index.incidence[:, [index.columns[c] for c in chars if c in index.columns]].sum(axis=1)
         union = len(chars) + index.sizes - inter
-        cj = np.divide(inter, union, out=np.ones(n_lemmas), where=union > 0)
+        # one Jaccard per distinct lemma, gathered out to every occurrence
+        cj = np.divide(inter, union, out=np.ones(index.sizes.size), where=union > 0)[index.lemma_id]
         cj[taken | (cj < word_threshold)] = -1.0
         best = np.maximum.reduceat(cj, index.starts)
         first = np.minimum.reduceat(

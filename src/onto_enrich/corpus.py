@@ -4,8 +4,8 @@ The corpus is UTF-8 XML: a ``corpus`` root holding ``question`` elements,
 each with one ``text`` element and any number of ``answer`` elements. Noun
 phrases are marked inline with ``TERM1`` and prepositional phrases with
 ``TERM2``. Parsing is strict: structural violations (nested TERM tags, empty
-spans, unknown elements or attributes, non-UTF-8 encodings) are rejected with
-a position, never repaired.
+spans, unknown elements or attributes, non-UTF-8 encodings, a document type
+declaration) are rejected with a position, never repaired.
 """
 
 from __future__ import annotations
@@ -108,6 +108,12 @@ class _CorpusBuilder:
     def xml_decl(self, version: str, encoding: str | None, standalone: int) -> None:
         if encoding is not None and encoding.lower() != "utf-8":
             self._fail(f"corpus files must be UTF-8, not {encoding!r}")
+
+    def doctype(self, name: str, sysid: str | None, pubid: str | None,
+                has_internal_subset: int) -> None:
+        # an internal subset could declare entities that expand to markup,
+        # and an external DTD would be ignored silently
+        self._fail("a document type declaration is not allowed")
 
     def start(self, name: str, attrs: dict[str, str]) -> None:
         parent = self._stack[-1] if self._stack else None
@@ -218,6 +224,7 @@ def parse_corpus(data: bytes) -> QuestionCorpus:
     parser = expat.ParserCreate()
     builder = _CorpusBuilder(parser)
     parser.XmlDeclHandler = builder.xml_decl
+    parser.StartDoctypeDeclHandler = builder.doctype
     parser.StartElementHandler = builder.start
     parser.EndElementHandler = builder.end
     parser.CharacterDataHandler = builder.chardata

@@ -99,11 +99,28 @@ def match_phrase(
 
     Ties on score fall to the shorter label lemma sequence, then the smaller
     concept IRI, then the smaller original label, so results are stable.
+    The winner depends only on (seq, thresholds) and the index, so it is
+    scored once per distinct key and kept in ``index.memo``; a repeat only
+    builds its ``ConceptMatch``.
     """
     if not seq:
         raise EmptySequenceError(f"phrase {phrase.raw!r} normalized to nothing")
     if not index.entries:
         return None
+    key = (seq, config.word_threshold, config.seq_threshold)
+    if key in index.memo:
+        best = index.memo[key]
+    else:
+        best = index.memo[key] = _best_entry(index, seq, config)
+    if best is None:
+        return None
+    chosen = index.entries[best[0]]
+    return ConceptMatch(phrase.question_id, phrase, chosen.iri, chosen.label, best[1])
+
+
+def _best_entry(index: LabelIndex, seq: LemmaSequence,
+                config: MatchConfig) -> tuple[int, float] | None:
+    """Position and score of the best entry for ``seq``, or None below threshold."""
     m, d = _scoring.score_counts(index, seq, config.word_threshold)
     score = m / d
     best = score.max()
@@ -111,8 +128,7 @@ def match_phrase(
         return None
     # m and d are small integers, so equal fractions give equal floats and
     # different fractions different floats: == finds the exact ties
-    chosen = index.entries[int(np.argmin(np.where(score == best, index.rank, score.size)))]
-    return ConceptMatch(phrase.question_id, phrase, chosen.iri, chosen.label, float(best))
+    return int(np.argmin(np.where(score == best, index.rank, score.size))), float(best)
 
 
 def match_question(

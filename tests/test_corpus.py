@@ -176,6 +176,21 @@ class TestRejects:
         with pytest.raises(MalformedXmlError, match="stray"):
             parse_corpus(b"<corpus>loose words</corpus>")
 
+    def test_doctype_entity_markup_rejected(self):
+        # the entity would otherwise expand to a marked phrase
+        doctype = b'<!DOCTYPE corpus [<!ENTITY t "<TERM1>right angle</TERM1>">]>'
+        with pytest.raises(MalformedXmlError, match="document type") as exc:
+            parse_corpus(b'<?xml version="1.0"?>\n' + doctype +
+                         b'<corpus><question id="q"><text>a &t; b</text></question></corpus>')
+        # expat reports the declaration once it has read its header
+        assert exc.value.line == 2 and 1 <= exc.value.column <= len(doctype)
+
+    def test_doctype_external_dtd_rejected(self):
+        doctype = b'<!DOCTYPE c SYSTEM "x.dtd">'
+        with pytest.raises(MalformedXmlError, match="document type") as exc:
+            parse_corpus(doctype + b"<corpus/>")
+        assert exc.value.line == 1 and 1 <= exc.value.column <= len(doctype)
+
 
 ALPHABET = "ab <>&\"'xт"
 
@@ -248,7 +263,8 @@ class TestRoundTrip:
 
 # Pieces of corpus XML, well and badly placed: every element and attribute
 # of the format, ids that repeat or are empty, entities, declarations, a
-# UTF-8 BOM, bytes that are not UTF-8 and BOMs of other encodings.
+# UTF-8 BOM, bytes that are not UTF-8, BOMs of other encodings and document
+# type declarations.
 _XML_FRAGMENTS = st.sampled_from([
     b"<corpus>", b"</corpus>", b'<question id="a">', b'<question id="b">',
     b"<question>", b'<question id="">', b"</question>", b"<text>", b"</text>",
@@ -256,7 +272,9 @@ _XML_FRAGMENTS = st.sampled_from([
     b"<TERM1>", b"</TERM1>", b"<TERM2>", b"</TERM2>", b"<other/>", b"x", b" ",
     b"\n", b"\r\n", b"&amp;", b"&bad;", b"&#0;", b"<!-- c -->", b"<![CDATA[<a]]>",
     b'<?xml version="1.0"?>', b'<?xml version="1.0" encoding="latin-1"?>',
-    b"\xef\xbb\xbf", b"\xff", b"\xfe\xff", b"\xe9", "\u00e9\U0001d538".encode(), b"\x00",
+    b'<!DOCTYPE corpus [<!ENTITY t "<TERM1>x</TERM1>">]>', b"&t;",
+    b'<!DOCTYPE c SYSTEM "x.dtd">', b"\xef\xbb\xbf", b"\xff", b"\xfe\xff", b"\xe9",
+    "\u00e9\U0001d538".encode(), b"\x00",
 ])
 
 

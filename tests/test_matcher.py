@@ -5,17 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from onto_enrich import _scoring
 from onto_enrich._scoring import IndexEntry, LabelIndex
-from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
+from onto_enrich.corpus import MarkedPhrase, MarkedText, PhraseKind, PhraseSource, Question
 from onto_enrich.errors import EmptySequenceError
 from onto_enrich.matcher import (
+    ConceptMatch,
     MatchConfig,
     char_jaccard,
     match_phrase,
     match_question,
     seq_similarity,
 )
-from onto_enrich.textnorm import Lexicon, Stoplist
+from onto_enrich.textnorm import Lexicon, Stoplist, normalize_phrase
 from oracles import reference_counts
 
 
@@ -252,6 +254,100 @@ class TestMatchQuestion:
                                  fixture_lexicon, fixture_stoplist, MatchConfig(0.75, 0.0))
         assert matches == []
         assert calls == []
+
+
+# A question bank drawn from a small pool of phrases, so lemma sequences
+# repeat within and across questions; "of" is stoplisted, so the pool phrase
+# "of" normalizes to nothing and never reaches the scorer
+MEMO_STOPLIST = Stoplist(frozenset({"of"}))
+phrase_pools = st.lists(
+    st.one_of(st.just("of"), tie_sequences.map(" ".join),
+              tie_sequences.map(lambda seq: "of " + " ".join(seq))),
+    min_size=1, max_size=4)
+banks = st.lists(st.lists(st.integers(0, 3), max_size=5), min_size=1, max_size=5)
+
+
+def _questions(pool, bank):
+    """(question, phrases) pairs; phrase ``k`` of question ``i`` is pool entry
+    ``bank[i][k] % len(pool)``."""
+    questions = []
+    for i, picks in enumerate(bank):
+        qid = f"q{i}"
+        phrases = [_phrase(pool[p % len(pool)], qid, k) for k, p in enumerate(picks)]
+        questions.append((Question(qid, MarkedText(()), ()), phrases))
+    return questions
+
+
+def _oracle_question(phrases, entries, config):
+    """match_question by a direct scan: seq_similarity per label, the rank
+    tie-break, then one match per concept (highest score, earliest phrase)."""
+    by_concept = {}
+    for phrase in phrases:
+        seq = normalize_phrase(phrase.raw, Lexicon(), MEMO_STOPLIST)
+        if not seq:
+            continue
+        best = None
+        for e in entries:
+            score = seq_similarity(seq, e.lemmas, config.word_threshold)
+            key = (-score, len(e.lemmas), e.iri, e.label)
+            if score >= config.seq_threshold and (best is None or key < best[0]):
+                best = (key, e, score)
+        if best is None:
+            continue
+        _, e, score = best
+        held = by_concept.get(e.iri)
+        if held is None or score > held.score:
+            by_concept[e.iri] = ConceptMatch(phrase.question_id, phrase, e.iri, e.label, score)
+    return sorted(by_concept.values(), key=lambda m: m.phrase.ordinal)
+
+
+class TestMemo:
+    """``match_phrase`` scores each distinct (seq, thresholds) once per index."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(phrase_pools, banks, tie_entries, tie_configs, tie_configs)
+    def test_matches_oracle_and_scores_each_key_once(self, pool, bank, entries, first, second):
+        index = _index(*entries)
+        calls = []
+        score_counts = _scoring.score_counts
+
+        def counted(idx, seq, word_threshold):
+            calls.append((idx, seq, word_threshold))
+            return score_counts(idx, seq, word_threshold)
+
+        questions = _questions(pool, bank)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_scoring, "score_counts", counted)
+            # the second config runs between two passes of the first over
+            # one shared index, so a result leaking across configs shows
+            for config in (first, second, first):
+                for question, phrases in questions:
+                    got = match_question(question, phrases, index, Lexicon(),
+                                         MEMO_STOPLIST, config)
+                    assert got == _oracle_question(phrases, index.entries, config)
+        seqs = {normalize_phrase(p.raw, Lexicon(), MEMO_STOPLIST)
+                for _, phrases in questions for p in phrases} - {()}
+        keys = {(seq, c.word_threshold, c.seq_threshold) for seq in seqs for c in (first, second)}
+        assert all(idx is index for idx, _, _ in calls)
+        assert len(calls) == (len(keys) if index.entries else 0)
+        assert set(index.memo) == (keys if index.entries else set())
+
+    def test_repeat_carries_its_own_phrase(self):
+        index = _index(("c:A", "a b", ("a", "b")), ("c:B", "c", ("c",)))
+        cfg = MatchConfig(1.0, 0.0)
+        first = match_phrase(_phrase("a b", "q1", 0), ("a", "b"), index, cfg)
+        again = match_phrase(_phrase("A  B", "q2", 3), ("a", "b"), index, cfg)
+        assert (again.question_id, again.phrase.raw, again.phrase.ordinal) == ("q2", "A  B", 3)
+        assert (again.concept_iri, again.matched_label, again.score) == \
+            (first.concept_iri, first.matched_label, first.score) == ("c:A", "a b", 1.0)
+
+    def test_unmatched_key_is_remembered(self):
+        index = _index(("c:A", "a", ("a",)))
+        cfg = MatchConfig(1.0, 0.5)
+        assert match_phrase(_phrase("z"), ("z",), index, cfg) is None
+        assert index.memo == {(("z",), 1.0, 0.5): None}
+        # a lower sequence threshold is another key, scored afresh
+        assert match_phrase(_phrase("z"), ("z",), index, MatchConfig(1.0, 0.0)).score == 0.0
 
 
 WORD_ALPHABET = "abcdefgzхо"

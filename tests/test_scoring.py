@@ -31,6 +31,21 @@ thresholds = st.one_of(st.sampled_from([0.0, 0.5, 0.75, 1.0]),
 outside_lemmas = st.tuples(lemmas, st.text(OUTSIDE_ALPHABET, min_size=1, max_size=3)).map("".join)
 outside_sequences = st.lists(outside_lemmas, min_size=1, max_size=4).map(tuple)
 
+# Astral letters and lone surrogates, which str.encode would reject, drawn
+# into a small pool of lemmas that many entries share
+ROW_ALPHABET = ["a", "b", "\U0001d49c", "\U0001f600", "\ud800", "\udfff"]
+row_lemmas = st.lists(st.sampled_from(ROW_ALPHABET), min_size=1, max_size=5).map("".join)
+
+
+@st.composite
+def shared_lemma_banks(draw):
+    """(phrase, entries) whose lemmas come from one small pool."""
+    pool = draw(st.lists(row_lemmas, min_size=1, max_size=6, unique=True))
+    pooled = st.lists(st.sampled_from(pool), min_size=1, max_size=5).map(tuple)
+    phrase = draw(st.one_of(pooled, st.lists(row_lemmas, min_size=1, max_size=4).map(tuple)))
+    return phrase, draw(st.lists(pooled, min_size=1, max_size=12))
+
+
 SETTINGS = settings(max_examples=200, deadline=None)
 
 
@@ -65,6 +80,37 @@ class TestEncoding:
         assert index.incidence.tolist() == [[1, 1], [1, 0], [0, 1]]
         # rank orders by lemma count first
         assert index.rank.tolist() == [0, 1]
+
+
+class TestDistinctRows:
+    """Equal lemmas share one incidence row, reached through ``lemma_id``."""
+
+    def test_shared_lemma_packed_once(self):
+        index = _index([("line", "angle"), ("line",), ("angle", "line")])
+        assert index.lemma_id.tolist() == [0, 1, 0, 1, 0]
+        assert index.incidence.shape[0] == 2
+        assert index.sizes.tolist() == [4, 5]
+
+    @SETTINGS
+    @given(shared_lemma_banks(), thresholds)
+    def test_agrees_with_loop_reference(self, bank, threshold):
+        phrase, entries = bank
+        _assert_matches_reference(phrase, entries, threshold)
+
+    @SETTINGS
+    @given(shared_lemma_banks())
+    def test_one_row_per_distinct_lemma(self, bank):
+        _, entries = bank
+        index = _index(entries)
+        occurrences = [lemma for entry in entries for lemma in entry]
+        distinct = list(dict.fromkeys(occurrences))
+        assert index.incidence.shape[0] == len(distinct)
+        assert [distinct[r] for r in index.lemma_id] == occurrences
+        assert sorted(index.columns) == sorted(set("".join(distinct)))
+        assert sorted(index.columns.values()) == list(range(index.incidence.shape[1]))
+        for row, lemma in zip(index.incidence, distinct):
+            assert set(row.nonzero()[0]) == {index.columns[c] for c in lemma}
+        assert index.sizes.tolist() == [len(set(lemma)) for lemma in distinct]
 
 
 class TestBackendEquivalence:
