@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _scoring
 from ._scoring import LabelIndex
 from .corpus import MarkedPhrase, Question
@@ -122,13 +120,19 @@ def _best_entry(index: LabelIndex, seq: LemmaSequence,
                 config: MatchConfig) -> tuple[int, float] | None:
     """Position and score of the best entry for ``seq``, or None below threshold."""
     m, d = _scoring.score_counts(index, seq, config.word_threshold)
-    score = m / d
-    best = score.max()
+    if not m:
+        # every entry scores 0.0; the lowest rank wins if 0.0 clears
+        if config.seq_threshold > 0.0:
+            return None
+        return index.rank.index(0), 0.0
+    scores = {j: m[j] / d[j] for j in m}
+    best = max(scores.values())
     if best < config.seq_threshold:
         return None
     # m and d are small integers, so equal fractions give equal floats and
     # different fractions different floats: == finds the exact ties
-    return int(np.argmin(np.where(score == best, index.rank, score.size))), float(best)
+    return min((j for j, score in scores.items() if score == best),
+               key=index.rank.__getitem__), best
 
 
 def match_question(

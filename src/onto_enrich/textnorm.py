@@ -80,10 +80,14 @@ def normalize_phrase(text: str, lexicon: Lexicon, stoplist: Stoplist) -> LemmaSe
     covers a whole word family. May return an empty tuple when every token is
     stoplisted; callers exclude such sequences from matching.
     """
+    # tokenize and Lexicon.lemma inlined, with the lookups bound once: this
+    # runs for every phrase and every label
+    lemma = lexicon.entries.get
+    stop = stoplist.forms
     return tuple(
-        lemma
-        for token in tokenize(text)
-        if (lemma := lexicon.lemma(token)) not in stoplist
+        form
+        for token in _TOKEN_RE.findall(text)
+        if (form := lemma(folded := token.casefold(), folded)) not in stop
     )
 
 

@@ -7,7 +7,8 @@ its one target, where the package's search serves every target of a source
 in one sweep; both must give each target the same path and tie-break. The
 greedy pairing oracle scores one phrase against every entry with plain
 per-entry loops over sorted codepoint arrays, where the package's scorer
-works on all entries at once. The JSON report oracle is the standard
+counts shared characters for all rows at once in bitmasks and pairs only
+the entries that the overlap filter keeps. The JSON report oracle is the standard
 library's generic indenting encoder over a plain dict of the report, where
 the package writes the report's fixed schema directly.
 """

@@ -158,6 +158,17 @@ class TestMatchPhrase:
         match = match_phrase(_phrase("a b"), ("a", "b"), index, self.CFG)
         assert match.matched_label == "a b"
 
+    def test_zero_threshold_without_pairs_takes_lowest_rank(self):
+        # no label pairs with "z", so every label scores 0.0, which clears a
+        # sequence threshold of 0: the first label in rank order wins
+        index = _index(
+            ("c:B", "x y", ("x", "y")),
+            ("c:C", "w", ("w",)),
+            ("c:A", "v", ("v",)),
+        )
+        match = match_phrase(_phrase("z"), ("z",), index, MatchConfig(0.75, 0.0))
+        assert (match.concept_iri, match.matched_label, match.score) == ("c:A", "v", 0.0)
+
     def test_score_meets_threshold_invariant(self, fixture_index):
         rng = random.Random(3)
         vocab = ["triangle", "angle", "segment", "circle", "point", "lines", "right"]

@@ -1,0 +1,43 @@
+"""The program runs without numpy, which only the test suite needs.
+
+Each check runs in a fresh interpreter, since this one has numpy loaded
+through the test oracles.
+"""
+
+import os
+import subprocess
+import sys
+
+# a None entry in sys.modules makes every later ``import numpy`` fail
+BLOCKED_RUN = """
+import sys
+sys.modules["numpy"] = None
+from onto_enrich.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _python(repo_root, code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=repo_root, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_writes_golden_report_with_numpy_blocked(repo_root, tmp_path):
+    out = tmp_path / "report.json"
+    result = _python(repo_root, BLOCKED_RUN,
+                     "--ontology", "fixtures/ontology.nt",
+                     "--corpus", "fixtures/corpus.xml",
+                     "--lexicon", "fixtures/lexicon.tsv",
+                     "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == (repo_root / "tests/golden/fixture_report.json").read_bytes()
+
+
+def test_import_does_not_load_numpy(repo_root):
+    result = _python(repo_root, "import sys, onto_enrich, onto_enrich.cli;"
+                                "print('numpy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,9 +1,11 @@
 """Properties of the packed label index and its scorer.
 
-``score_counts`` pairs a phrase with all entries at once; its integer (m, d)
-outputs must equal those of the per-entry loop reference in ``oracles`` and
-give m / d == seq_similarity for every entry, so reports never depend on how
-the pairing is computed.
+``score_counts`` filters the rows a phrase lemma can pair with through
+bit-sliced overlap counts and pairs only the entries holding one; its
+integer (m, d) outputs, with absent entries counting as m = 0, must equal
+those of the per-entry loop reference in ``oracles`` and give m / d ==
+seq_similarity for every entry, so reports never depend on how the pairing
+is computed.
 """
 
 from collections import Counter
@@ -12,9 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onto_enrich._scoring import IndexEntry, LabelIndex, score_counts
+from onto_enrich._scoring import (
+    IndexEntry,
+    LabelIndex,
+    _at_least,
+    _count_bits,
+    _pairable,
+    score_counts,
+)
 from onto_enrich.errors import EmptySequenceError
-from onto_enrich.matcher import seq_similarity
+from onto_enrich.matcher import char_jaccard, seq_similarity
 from oracles import reference_counts
 
 # Latin, Cyrillic and a non-BMP letter: few enough that lemmas overlap
@@ -54,42 +63,58 @@ def _index(entries):
         IndexEntry(f"c:{j}", f"label {j}", seq) for j, seq in enumerate(entries))
 
 
-def _assert_matches_reference(phrase, entries, threshold):
+def _dense_counts(phrase, entries, threshold):
+    """``score_counts`` as per-entry lists, absent entries at m = 0."""
     m, d = score_counts(_index(entries), phrase, threshold)
+    assert set(m) == set(d) <= set(range(len(entries)))
+    assert all(count > 0 for count in m.values())
+    return ([m.get(j, 0) for j in range(len(entries))],
+            [d.get(j, len(phrase) + len(entry)) for j, entry in enumerate(entries)])
+
+
+def _assert_matches_reference(phrase, entries, threshold):
+    m, d = _dense_counts(phrase, entries, threshold)
     ref_m, ref_d = reference_counts(phrase, entries, threshold)
-    assert m.tolist() == ref_m.tolist()
-    assert d.tolist() == ref_d.tolist()
+    assert m == ref_m.tolist()
+    assert d == ref_d.tolist()
+
+
+def _mask(rows):
+    return sum(1 << r for r in rows)
 
 
 class TestEncoding:
     def test_encode_sequence(self):
         index = _index([("ba", "aab")])
-        assert index.columns == {"a": 0, "b": 1}
-        assert index.incidence.tolist() == [[1, 1], [1, 1]]
-        assert index.sizes.tolist() == [2, 2]
+        assert index.rows == ["ba", "aab"]
+        assert index.row_chars == [frozenset("ab"), frozenset("ab")]
+        assert index.char_rows == {"a": 0b11, "b": 0b11}
+        assert index.size_rows == {2: 0b11}
 
     def test_encode_empty(self):
         index = _index([])
-        assert index.incidence.shape == (0, 0)
-        assert index.lengths.size == 0 and index.rank.size == 0
+        assert index.rows == [] and index.row_entries == []
+        assert index.char_rows == {} and index.size_rows == {}
+        assert index.rank == []
 
     def test_index_shape(self):
         index = _index([("ab",), ("a", "b")])
-        assert index.starts.tolist() == [0, 1]
-        assert index.owner.tolist() == [0, 1, 1]
-        assert index.incidence.tolist() == [[1, 1], [1, 0], [0, 1]]
+        assert index.rows == ["ab", "a", "b"]
+        assert index.row_entries == [[0], [1], [1]]
+        assert index.char_rows == {"a": 0b011, "b": 0b101}
+        assert index.size_rows == {2: 0b001, 1: 0b110}
         # rank orders by lemma count first
-        assert index.rank.tolist() == [0, 1]
+        assert index.rank == [0, 1]
 
 
 class TestDistinctRows:
-    """Equal lemmas share one incidence row, reached through ``lemma_id``."""
+    """Equal lemmas share one row, which lists every entry holding it."""
 
     def test_shared_lemma_packed_once(self):
         index = _index([("line", "angle"), ("line",), ("angle", "line")])
-        assert index.lemma_id.tolist() == [0, 1, 0, 1, 0]
-        assert index.incidence.shape[0] == 2
-        assert index.sizes.tolist() == [4, 5]
+        assert index.rows == ["line", "angle"]
+        assert index.row_entries == [[0, 1, 2], [0, 2]]
+        assert index.size_rows == {4: 0b01, 5: 0b10}
 
     @SETTINGS
     @given(shared_lemma_banks(), thresholds)
@@ -102,23 +127,57 @@ class TestDistinctRows:
     def test_one_row_per_distinct_lemma(self, bank):
         _, entries = bank
         index = _index(entries)
-        occurrences = [lemma for entry in entries for lemma in entry]
-        distinct = list(dict.fromkeys(occurrences))
-        assert index.incidence.shape[0] == len(distinct)
-        assert [distinct[r] for r in index.lemma_id] == occurrences
-        assert sorted(index.columns) == sorted(set("".join(distinct)))
-        assert sorted(index.columns.values()) == list(range(index.incidence.shape[1]))
-        for row, lemma in zip(index.incidence, distinct):
-            assert set(row.nonzero()[0]) == {index.columns[c] for c in lemma}
-        assert index.sizes.tolist() == [len(set(lemma)) for lemma in distinct]
+        distinct = list(dict.fromkeys(lemma for entry in entries for lemma in entry))
+        assert index.rows == distinct
+        assert index.row_chars == [frozenset(lemma) for lemma in distinct]
+        assert index.row_entries == [
+            [j for j, entry in enumerate(entries) if lemma in entry] for lemma in distinct]
+        assert index.char_rows == {
+            c: _mask(r for r, lemma in enumerate(distinct) if c in lemma)
+            for c in set("".join(distinct))}
+        assert index.size_rows == {
+            size: _mask(r for r, lemma in enumerate(distinct) if len(set(lemma)) == size)
+            for size in {len(set(lemma)) for lemma in distinct}}
+
+
+class TestBitSlicing:
+    """The bit-sliced counts and their threshold masks against popcounts."""
+
+    @SETTINGS
+    @given(st.integers(0, 70).flatmap(lambda width: st.tuples(
+        st.just(width),
+        st.lists(st.integers(0, (1 << width) - 1), max_size=20),
+        st.integers(0, (1 << width) - 1))))
+    def test_counts_and_at_least_match_popcount(self, drawn):
+        width, masks, rows = drawn
+        planes = _count_bits(masks)
+        counts = [sum(mask >> r & 1 for mask in masks) for r in range(width)]
+        assert [sum((plane >> r & 1) << b for b, plane in enumerate(planes))
+                for r in range(width)] == counts
+        assert all(plane >> width == 0 for plane in planes)
+        for k in range(len(masks) + 2):
+            assert _at_least(planes, k, rows) == _mask(
+                r for r in range(width) if rows >> r & 1 and counts[r] >= k)
+
+    @SETTINGS
+    @given(st.one_of(lemmas, outside_lemmas, row_lemmas),
+           st.one_of(entry_lists, shared_lemma_banks().map(lambda bank: bank[1])),
+           thresholds)
+    def test_filter_keeps_exactly_the_pairable_rows(self, lemma, entries, threshold):
+        index = _index(entries)
+        jaccards, holders = _pairable(index, lemma, threshold)
+        expected = {row: char_jaccard(lemma, row) for row in index.rows
+                    if char_jaccard(lemma, row) >= threshold}
+        assert jaccards == expected
+        assert holders == {j for j, entry in enumerate(entries)
+                           if not expected.keys().isdisjoint(entry)}
 
 
 class TestBackendEquivalence:
     def test_worked_example(self):
-        index = _index([("triangle", "middle", "line"), ("line",)])
-        m, d = score_counts(index, ("middle", "line"), 0.75)
-        assert m.tolist() == [2, 1]
-        assert d.tolist() == [3, 2]
+        m, d = _dense_counts(("middle", "line"), [("triangle", "middle", "line"), ("line",)], 0.75)
+        assert m == [2, 1]
+        assert d == [3, 2]
 
     @SETTINGS
     @given(sequences, entry_lists, thresholds)
@@ -130,7 +189,7 @@ class TestBackendEquivalence:
     @given(phrase=sequences, entries=entry_lists)
     def test_threshold_bounds(self, phrase, entries, threshold):
         _assert_matches_reference(phrase, entries, threshold)
-        m, _ = score_counts(_index(entries), phrase, threshold)
+        m, _ = _dense_counts(phrase, entries, threshold)
         for j, entry in enumerate(entries):
             if threshold == 0.0:
                 # every lemma pair clears 0: pairing stops when a side runs out
@@ -144,22 +203,19 @@ class TestBackendEquivalence:
     @SETTINGS
     @given(sequences, entry_lists, thresholds)
     def test_matches_scalar_seq_similarity(self, phrase, entries, threshold):
-        m, d = score_counts(_index(entries), phrase, threshold)
+        m, d = _dense_counts(phrase, entries, threshold)
         for j, entry in enumerate(entries):
             assert m[j] / d[j] == seq_similarity(phrase, entry, threshold)
 
     @SETTINGS
     @given(entry_lists, thresholds)
     def test_empty_phrase(self, entries, threshold):
-        m, d = score_counts(_index(entries), (), threshold)
-        assert m.tolist() == [0] * len(entries)
-        assert d.tolist() == [len(e) for e in entries]
+        assert score_counts(_index(entries), (), threshold) == ({}, {})
 
     @SETTINGS
     @given(sequences, thresholds)
     def test_empty_index(self, phrase, threshold):
-        m, d = score_counts(_index([]), phrase, threshold)
-        assert m.size == 0 and d.size == 0
+        assert score_counts(_index([]), phrase, threshold) == ({}, {})
 
     @SETTINGS
     @given(outside_sequences, entry_lists, thresholds)
