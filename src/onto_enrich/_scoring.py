@@ -16,15 +16,13 @@ holding such a row are paired; every other entry pairs nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EmptySequenceError
 from .textnorm import LemmaSequence
 
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(NamedTuple):
     """One (concept, label) pair with the label's normalized lemma sequence."""
 
     iri: str

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import errno
 import os
-import secrets
 import stat
 import sys
 from contextlib import contextmanager
@@ -136,7 +135,7 @@ def _atomic_output(out: str):
     target = os.path.realpath(out)
     directory, name = os.path.split(target)
     while True:
-        tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+        tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break

@@ -11,7 +11,7 @@ declaration) are rejected with a position, never repaired.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 from xml.parsers import expat
 
 from .errors import (
@@ -40,39 +40,33 @@ class AnswerKind(enum.Enum):
 _TERM_TAGS = {"TERM1": PhraseKind.NP, "TERM2": PhraseKind.PP}
 
 
-@dataclass(frozen=True)
-class TextSpan:
+class TextSpan(NamedTuple):
     """One run of marked-up text; ``term`` is None for plain text."""
 
     term: PhraseKind | None
     text: str
 
 
-@dataclass(frozen=True)
-class MarkedText:
+class MarkedText(NamedTuple):
     spans: tuple[TextSpan, ...]
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(NamedTuple):
     kind: AnswerKind
     body: MarkedText
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     id: str
     text: MarkedText
     answers: tuple[Answer, ...]
 
 
-@dataclass(frozen=True)
-class QuestionCorpus:
+class QuestionCorpus(NamedTuple):
     questions: tuple[Question, ...]
 
 
-@dataclass(frozen=True)
-class MarkedPhrase:
+class MarkedPhrase(NamedTuple):
     """A marked NP or PP span, in extraction order within its question."""
 
     question_id: str

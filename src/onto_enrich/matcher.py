@@ -9,7 +9,7 @@ single best-scoring concept label at or above the sequence threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _scoring
 from ._scoring import LabelIndex
@@ -18,26 +18,34 @@ from .errors import EmptySequenceError
 from .textnorm import LemmaSequence, Lexicon, Stoplist, normalize_phrase
 
 
-@dataclass(frozen=True)
-class MatchConfig:
+class _MatchConfig(NamedTuple):
+    word_threshold: float = 0.75
+    seq_threshold: float = 0.5
+
+
+class MatchConfig(_MatchConfig):
     """Similarity thresholds, both in [0, 1].
 
     word_threshold: minimum character Jaccard for two words to pair up.
     seq_threshold: minimum sequence score for a phrase to match a label.
+    Construction, ``_make`` and ``_replace`` raise ValueError outside [0, 1].
     """
 
-    word_threshold: float = 0.75
-    seq_threshold: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("word_threshold", "seq_threshold"):
-            value = getattr(self, name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ConceptMatch:
+class ConceptMatch(NamedTuple):
     """A phrase linked to the concept whose label it matched best."""
 
     question_id: str

@@ -15,8 +15,7 @@ the full relation graph.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from ._scoring import IndexEntry, LabelIndex
 from .errors import MalformedTripleError, SelfLoopEdgeError, UnterminatedLiteralError
@@ -26,28 +25,24 @@ DEFAULT_HIERARCHICAL_PREDICATES = frozenset({"rdfs:subClassOf", "ome:hasChild"})
 DEFAULT_LABEL_PREDICATES = frozenset({"rdfs:label"})
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     """A quoted object value with an optional language tag."""
 
     text: str
     lang: str | None = None
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     text: str
     lang: str | None = None
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     iri: str
     labels: tuple[Label, ...]
 
 
-@dataclass(frozen=True)
-class RelationEdge:
+class RelationEdge(NamedTuple):
     subject: str
     predicate: str
     object: str
@@ -186,31 +181,45 @@ def local_name(iri: str) -> str:
     return iri
 
 
-@dataclass(frozen=True)
 class OntologyGraph:
-    """Immutable typed concept graph with a hierarchical predicate subset."""
+    """Typed concept graph with a hierarchical predicate subset.
 
-    concepts: dict[str, Concept]
-    edges: tuple[RelationEdge, ...]
-    hierarchical_predicates: frozenset[str]
-    # adjacency caches, derived from edges; not constructor arguments, so
-    # dataclasses.replace builds fresh ones instead of sharing the original's
-    _adj_full: dict[str, tuple[tuple[str, str], ...]] = field(
-        init=False, compare=False, repr=False, default_factory=dict)
-    _adj_hier: dict[str, tuple[tuple[str, str], ...]] = field(
-        init=False, compare=False, repr=False, default_factory=dict)
+    Two graphs are equal when their concepts, edges and hierarchical
+    predicates are. The adjacency of each edge filter is derived from the
+    edges once, on construction.
+    """
 
-    def __post_init__(self):
-        full: dict[str, set[tuple[str, str]]] = {iri: set() for iri in self.concepts}
-        hier: dict[str, set[tuple[str, str]]] = {iri: set() for iri in self.concepts}
-        for e in self.edges:
-            full[e.subject].add((e.object, e.predicate))
-            full[e.object].add((e.subject, e.predicate))
-            if e.predicate in self.hierarchical_predicates:
-                hier[e.subject].add((e.object, e.predicate))
-                hier[e.object].add((e.subject, e.predicate))
-        self._adj_full.update({k: tuple(sorted(v)) for k, v in full.items()})
-        self._adj_hier.update({k: tuple(sorted(v)) for k, v in hier.items()})
+    __slots__ = ("concepts", "edges", "hierarchical_predicates", "_adj_full", "_adj_hier")
+
+    def __init__(
+        self,
+        concepts: dict[str, Concept],
+        edges: tuple[RelationEdge, ...],
+        hierarchical_predicates: frozenset[str],
+    ):
+        self.concepts = concepts
+        self.edges = edges
+        self.hierarchical_predicates = hierarchical_predicates
+        full: dict[str, set[tuple[str, str]]] = {iri: set() for iri in concepts}
+        hier: dict[str, set[tuple[str, str]]] = {iri: set() for iri in concepts}
+        for subject, predicate, obj in edges:
+            full[subject].add((obj, predicate))
+            full[obj].add((subject, predicate))
+            if predicate in hierarchical_predicates:
+                hier[subject].add((obj, predicate))
+                hier[obj].add((subject, predicate))
+        self._adj_full = {k: tuple(sorted(v)) for k, v in full.items()}
+        self._adj_hier = {k: tuple(sorted(v)) for k, v in hier.items()}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.concepts, self.edges, self.hierarchical_predicates) == (
+            other.concepts, other.edges, other.hierarchical_predicates)
+
+    def __repr__(self):
+        return (f"OntologyGraph(concepts={self.concepts!r}, edges={self.edges!r}, "
+                f"hierarchical_predicates={self.hierarchical_predicates!r})")
 
     def neighbors(self, iri: str, hierarchical_only: bool) -> tuple[tuple[str, str], ...]:
         """(neighbor iri, predicate iri) pairs in ascending order, undirected."""

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import UnknownConceptError
 from .matcher import ConceptMatch
@@ -27,8 +26,7 @@ class EdgeFilter(enum.Enum):
     ALL = "all"                    # admits every edge
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(NamedTuple):
     """A concrete path: length in edges, node chain, predicate chain."""
 
     length: int
@@ -36,8 +34,7 @@ class PathResult:
     predicates: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ConnectionRecord:
+class ConnectionRecord(NamedTuple):
     """Hierarchical and full shortest paths for one concept pair.
 
     ``concept_a`` sorts before ``concept_b``; ``optimal`` is set exactly when

@@ -15,10 +15,10 @@ import io
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from json.encoder import encode_basestring  # json's string escaper, in C
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .corpus import extract_phrases, parse_corpus
@@ -47,10 +47,7 @@ from .textnorm import DEFAULT_STOPLIST, Lexicon, load_lexicon, load_stoplist
 OUTPUT_FORMATS = ("json", "csv")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run needs; echoed into the report for provenance."""
-
+class _RunConfig(NamedTuple):
     ontology: str
     corpus: str
     lexicon: str | None = None
@@ -64,15 +61,30 @@ class RunConfig:
     optimal_only: bool = False
     out: str | None = None
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfig):
+    """Everything a run needs; echoed into the report for provenance.
+
+    Construction, ``_make`` and ``_replace`` raise ValueError on a max_depth
+    below 1 or an unknown format.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.format not in OUTPUT_FORMATS:
             raise ValueError(f"format must be one of {OUTPUT_FORMATS}, got {self.format!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     version: str
     config: RunConfig
     records: tuple[ConnectionRecord, ...]
@@ -158,32 +170,37 @@ def _compare_all(graph, pair_questions, max_depth):
 
 
 def _check_path(record, path, edges):
-    if len(path.nodes) != path.length + 1 or len(path.predicates) != path.length:
+    length, nodes, predicates = path
+    if len(nodes) != length + 1 or len(predicates) != length:
         raise InternalInvariantError(f"inconsistent path arity in {record}")
-    for i, predicate in enumerate(path.predicates):
-        a, b = path.nodes[i], path.nodes[i + 1]
+    for a, predicate, b in zip(nodes, predicates, nodes[1:]):
         if (a, predicate, b) not in edges and (b, predicate, a) not in edges:
             raise InternalInvariantError(f"path step {a}-{b} not in graph for {record}")
 
 
 def _check_report(report: Report, graph: OntologyGraph) -> None:
-    """Cross-check every record against its invariants before emitting."""
-    edges = {(e.subject, e.predicate, e.object) for e in graph.edges}
+    """Cross-check every record against its invariants before emitting.
+
+    Path steps are checked against the graph's edges, not against the
+    adjacency the paths were searched over.
+    """
+    edges = set(graph.edges)  # a RelationEdge hashes and compares as its (s, p, o)
     seen = set()
     for record in report.records:
-        if record.concept_a >= record.concept_b:
+        concept_a, concept_b, hierarchical, full, optimal, question_ids = record
+        if concept_a >= concept_b:
             raise InternalInvariantError(f"unordered pair in {record}")
-        if (record.concept_a, record.concept_b) in seen:
+        if (concept_a, concept_b) in seen:
             raise InternalInvariantError(f"duplicate pair in {record}")
-        seen.add((record.concept_a, record.concept_b))
-        if not record.question_ids or list(record.question_ids) != sorted(record.question_ids):
+        seen.add((concept_a, concept_b))
+        if not question_ids or list(question_ids) != sorted(question_ids):
             raise InternalInvariantError(f"bad question ids in {record}")
-        both = record.hierarchical is not None and record.full is not None
-        if both and record.full.length > record.hierarchical.length:
+        both = hierarchical is not None and full is not None
+        if both and full.length > hierarchical.length:
             raise InternalInvariantError(f"full path longer than hierarchical in {record}")
-        if record.optimal != (both and record.full.length < record.hierarchical.length):
+        if optimal != (both and full.length < hierarchical.length):
             raise InternalInvariantError(f"optimal flag inconsistent in {record}")
-        for path in (record.hierarchical, record.full):
+        for path in (hierarchical, full):
             if path is not None:
                 _check_path(record, path, edges)
 
@@ -223,10 +240,11 @@ def _json_strings(items, pad: str) -> str:
 def _json_path(path: PathResult | None) -> str:
     if path is None:
         return "null"
+    length, nodes, predicates = path
     return (
-        f'{{\n        "length": {int.__repr__(path.length)},'
-        f'\n        "nodes": {_json_strings(path.nodes, _PAD10)},'
-        f'\n        "predicates": {_json_strings(path.predicates, _PAD10)}\n      }}'
+        f'{{\n        "length": {int.__repr__(length)},'
+        f'\n        "nodes": {_json_strings(nodes, _PAD10)},'
+        f'\n        "predicates": {_json_strings(predicates, _PAD10)}\n      }}'
     )
 
 
@@ -262,13 +280,13 @@ def _json_report(report: Report) -> str:
         for key, value in config_items
     )
     records = [
-        f'{{\n      "concept_a": {encode_basestring(r.concept_a)},'
-        f'\n      "concept_b": {encode_basestring(r.concept_b)},'
-        f'\n      "optimal": {"true" if r.optimal else "false"},'
-        f'\n      "hierarchical": {_json_path(r.hierarchical)},'
-        f'\n      "full": {_json_path(r.full)},'
-        f'\n      "question_ids": {_json_strings(r.question_ids, _PAD8)}\n    }}'
-        for r in report.records
+        f'{{\n      "concept_a": {encode_basestring(concept_a)},'
+        f'\n      "concept_b": {encode_basestring(concept_b)},'
+        f'\n      "optimal": {"true" if optimal else "false"},'
+        f'\n      "hierarchical": {_json_path(hierarchical)},'
+        f'\n      "full": {_json_path(full)},'
+        f'\n      "question_ids": {_json_strings(question_ids, _PAD8)}\n    }}'
+        for concept_a, concept_b, hierarchical, full, optimal, question_ids in report.records
     ]
     matches = [
         f'{{\n      "question_id": {encode_basestring(m.question_id)},'
@@ -311,16 +329,16 @@ def serialize_report(report: Report, format: str) -> bytes:
             "concept_a", "concept_b", "hier_len", "full_len",
             "optimal", "questions", "hier_path", "full_path",
         ])
-        for r in report.records:
+        for concept_a, concept_b, hierarchical, full, optimal, question_ids in report.records:
             writer.writerow([
-                r.concept_a,
-                r.concept_b,
-                r.hierarchical.length if r.hierarchical else "",
-                r.full.length if r.full else "",
-                "true" if r.optimal else "false",
-                ";".join(r.question_ids),
-                "/".join(r.hierarchical.nodes) if r.hierarchical else "",
-                "/".join(r.full.nodes) if r.full else "",
+                concept_a,
+                concept_b,
+                hierarchical.length if hierarchical else "",
+                full.length if full else "",
+                "true" if optimal else "false",
+                ";".join(question_ids),
+                "/".join(hierarchical.nodes) if hierarchical else "",
+                "/".join(full.nodes) if full else "",
             ])
         return buffer.getvalue().encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import codecs
 import re
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InvalidUtf8Error, MalformedLexiconLineError
@@ -33,15 +32,17 @@ def tokenize(text: str) -> list[str]:
     return [m.group().casefold() for m in _TOKEN_RE.finditer(text)]
 
 
-@dataclass(frozen=True)
 class Lexicon:
     """Surface-form to lemma dictionary with identity fallback.
 
     Keys and values are case-folded at load time; lookup never fails — a
-    surface absent from the map lemmatizes to itself.
+    surface absent from the map lemmatizes to itself. ``Lexicon()`` is empty.
     """
 
-    entries: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Mapping[str, str] | None = None):
+        self.entries = {} if entries is None else entries
 
     def lemma(self, surface: str) -> str:
         return self.entries.get(surface, surface)
@@ -49,18 +50,39 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
 
-@dataclass(frozen=True)
+    def __repr__(self):
+        return f"Lexicon(entries={self.entries!r})"
+
+
 class Stoplist:
     """Set of case-folded lemma forms excluded from matching."""
 
-    forms: frozenset[str] = frozenset()
+    __slots__ = ("forms",)
+
+    def __init__(self, forms: frozenset[str] = frozenset()):
+        self.forms = forms
 
     def __contains__(self, form: str) -> bool:
         return form in self.forms
 
     def __len__(self) -> int:
         return len(self.forms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.forms == other.forms
+
+    def __hash__(self):
+        return hash((self.forms,))
+
+    def __repr__(self):
+        return f"Stoplist(forms={self.forms!r})"
 
 
 # Small default stoplist: function words that would otherwise dominate

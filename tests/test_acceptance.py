@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdicts.
 """
 
-import dataclasses
 import functools
 import random
 import time
@@ -39,8 +38,7 @@ def criterion(number, description):
 
 
 def _abs_config(repo_root) -> RunConfig:
-    return dataclasses.replace(
-        FIXTURE_CONFIG,
+    return FIXTURE_CONFIG._replace(
         ontology=str(repo_root / "fixtures/ontology.nt"),
         corpus=str(repo_root / "fixtures/corpus.xml"),
         lexicon=str(repo_root / "fixtures/lexicon.tsv"),

@@ -1,7 +1,8 @@
 """The program runs without numpy, which only the test suite needs.
 
 Each check runs in a fresh interpreter, since this one has numpy loaded
-through the test oracles.
+through the test oracles. The same way, importing the CLI is checked to
+leave out the modules that a cold start would otherwise pay for.
 """
 
 import os
@@ -41,3 +42,13 @@ def test_import_does_not_load_numpy(repo_root):
                                 "print('numpy' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_import_loads_no_code_generator(repo_root):
+    # dataclasses pulls in inspect (and ast, dis, tokenize) and runs exec per
+    # class; secrets pulls in hmac, hashlib and base64
+    result = _python(repo_root, "import sys, onto_enrich.cli;"
+                                "print(sorted({'dataclasses', 'inspect', 'secrets'}"
+                                " & set(sys.modules)))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

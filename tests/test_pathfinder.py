@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -317,7 +316,7 @@ class TestCompareFrom:
         dsts = [t for t in targets if t >= src]
         ids = {dst: (f"q{rng.randrange(3)}",) for dst in dsts if rng.random() < 0.7}
         assert compare_from(graph, src, dsts, max_depth, question_ids=ids) == [
-            dataclasses.replace(record, question_ids=ids.get(record.concept_b, ()))
+            record._replace(question_ids=ids.get(record.concept_b, ()))
             for record in compare_from(graph, src, dsts, max_depth)]
 
     def test_dst_before_src_rejected(self, fixture_graph):

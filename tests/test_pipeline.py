@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -34,8 +33,7 @@ def in_repo_root(repo_root, monkeypatch):
 
 @pytest.fixture(scope="module")
 def fixture_report(repo_root):
-    config = dataclasses.replace(
-        FIXTURE_CONFIG,
+    config = FIXTURE_CONFIG._replace(
         ontology=str(repo_root / "fixtures/ontology.nt"),
         corpus=str(repo_root / "fixtures/corpus.xml"),
         lexicon=str(repo_root / "fixtures/lexicon.tsv"),
@@ -87,7 +85,7 @@ class TestRun:
     def test_empty_corpus(self, in_repo_root, tmp_path):
         corpus = tmp_path / "empty.xml"
         corpus.write_bytes(b"<corpus></corpus>")
-        config = dataclasses.replace(FIXTURE_CONFIG, corpus=str(corpus))
+        config = FIXTURE_CONFIG._replace(corpus=str(corpus))
         report = run(config)
         assert report.records == ()
         assert report.matches == ()
@@ -99,41 +97,40 @@ class TestRun:
             b"</question>"
             b'<question id="q2"><text>No <TERM1>dodecahedron</TERM1> and no '
             b"<TERM1>icosahedron</TERM1>.</text></question></corpus>")
-        config = dataclasses.replace(FIXTURE_CONFIG, corpus=str(corpus))
+        config = FIXTURE_CONFIG._replace(corpus=str(corpus))
         report = run(config)
         assert report.records == ()
         assert [m.concept_iri for m in report.matches] == ["c:Square"]
 
     def test_optimal_only_filter(self, in_repo_root):
-        config = dataclasses.replace(FIXTURE_CONFIG, optimal_only=True)
+        config = FIXTURE_CONFIG._replace(optimal_only=True)
         report = run(config)
         assert len(report.records) == 2
         assert all(r.optimal for r in report.records)
 
     def test_stoplist_file_matching_default_changes_nothing(self, in_repo_root):
-        config = dataclasses.replace(FIXTURE_CONFIG, stoplist="fixtures/stoplist.txt")
+        config = FIXTURE_CONFIG._replace(stoplist="fixtures/stoplist.txt")
         with_file = run(config)
         without = run(FIXTURE_CONFIG)
         assert with_file.records == without.records
         assert with_file.matches == without.matches
 
     def test_label_lang_filter_keeps_fixture_results(self, in_repo_root):
-        config = dataclasses.replace(FIXTURE_CONFIG, label_lang="en")
+        config = FIXTURE_CONFIG._replace(label_lang="en")
         report = run(config)
         assert report.records == run(FIXTURE_CONFIG).records
 
     def test_hierarchical_predicate_override(self, in_repo_root):
         # dropping ome:hasChild cuts the only hierarchy link of the
         # opposite-angles concept: no hierarchical baseline, no optimality
-        config = dataclasses.replace(
-            FIXTURE_CONFIG, hierarchical_predicates=("rdfs:subClassOf",))
+        config = FIXTURE_CONFIG._replace(hierarchical_predicates=("rdfs:subClassOf",))
         by_pair = {(r.concept_a, r.concept_b): r for r in run(config).records}
         record = by_pair[("c:OppositeAnglesOfQuadrilateral", "c:RightAngle")]
         assert record.hierarchical is None
         assert record.optimal is False
 
     def test_max_depth_caps_searches(self, in_repo_root):
-        config = dataclasses.replace(FIXTURE_CONFIG, max_depth=3)
+        config = FIXTURE_CONFIG._replace(max_depth=3)
         by_pair = {(r.concept_a, r.concept_b): r for r in run(config).records}
         record = by_pair[("c:OppositeAnglesOfQuadrilateral", "c:RightAngle")]
         assert record.hierarchical is None and record.full is None
@@ -143,13 +140,13 @@ class TestRun:
     def test_non_utf8_input_names_file_and_line(self, in_repo_root, tmp_path, field):
         bad = tmp_path / f"bad-{field}"
         bad.write_bytes(b"# fine\n# caf\xe9\n")
-        config = dataclasses.replace(FIXTURE_CONFIG, **{field: str(bad)})
+        config = FIXTURE_CONFIG._replace(**{field: str(bad)})
         with pytest.raises(InvalidUtf8Error) as exc:
             run(config)
         assert str(exc.value) == f"{bad}: invalid UTF-8 byte 0xe9 (line 2, column 6)"
 
     def test_missing_file_raises_oserror(self, in_repo_root):
-        config = dataclasses.replace(FIXTURE_CONFIG, corpus="fixtures/nope.xml")
+        config = FIXTURE_CONFIG._replace(corpus="fixtures/nope.xml")
         with pytest.raises(OSError):
             run(config)
 
@@ -230,9 +227,9 @@ class TestSerializeReport:
     @settings(max_examples=150, deadline=None)
     @given(_REPORTS)
     @example(_EMPTY_REPORT)
-    @example(dataclasses.replace(_EMPTY_REPORT, records=(
+    @example(_EMPTY_REPORT._replace(records=(
         ConnectionRecord("a", "a\u2028", PathResult(0, ("a",), ()), None, False, ()),)))
-    @example(dataclasses.replace(_EMPTY_REPORT, matches=tuple(
+    @example(_EMPTY_REPORT._replace(matches=tuple(
         ConceptMatch("q", MarkedPhrase("q", PhraseKind.NP, "p", PhraseSource.QUESTION_TEXT, 0),
                      "c", "l", score)
         for score in (math.nan, math.inf, -math.inf, 1, 0.1))))
@@ -243,23 +240,21 @@ class TestSerializeReport:
         assert serialize_report(fixture_report, "json") == json_report_reference(fixture_report)
 
     def test_csv_row_layout(self, fixture_report):
-        report = dataclasses.replace(
-            fixture_report, records=(_record_ab(),), matches=(), warnings=())
+        report = fixture_report._replace(records=(_record_ab(),), matches=(), warnings=())
         lines = serialize_report(report, "csv").decode().splitlines()
         assert lines[0] == "concept_a,concept_b,hier_len,full_len,optimal,questions,hier_path,full_path"
         assert lines[1] == "A,B,3,3,false,q1,A/x/y/B,A/u/v/B"
 
     def test_csv_empty_cells_for_missing_paths(self, fixture_report):
-        record = dataclasses.replace(_record_ab(), hierarchical=None)
-        report = dataclasses.replace(
-            fixture_report, records=(record,), matches=(), warnings=())
+        record = _record_ab()._replace(hierarchical=None)
+        report = fixture_report._replace(records=(record,), matches=(), warnings=())
         row = serialize_report(report, "csv").decode().splitlines()[1]
         assert row == "A,B,,3,false,q1,,A/u/v/B"
 
     def test_empty_report_json(self, in_repo_root, tmp_path):
         corpus = tmp_path / "empty.xml"
         corpus.write_bytes(b"<corpus></corpus>")
-        config = dataclasses.replace(FIXTURE_CONFIG, corpus=str(corpus))
+        config = FIXTURE_CONFIG._replace(corpus=str(corpus))
         payload = json.loads(serialize_report(run(config), "json"))
         assert payload["records"] == []
         assert payload["config"]["word_threshold"] == 0.75
@@ -275,32 +270,29 @@ class TestSerializeReport:
 
 class TestReportInvariants:
     def test_flipped_optimal_flag_detected(self, fixture_report, fixture_graph):
-        broken = dataclasses.replace(fixture_report.records[0], optimal=False)
-        report = dataclasses.replace(fixture_report, records=(broken,))
+        broken = fixture_report.records[0]._replace(optimal=False)
+        report = fixture_report._replace(records=(broken,))
         with pytest.raises(InternalInvariantError):
             _check_report(report, fixture_graph)
 
     def test_unsorted_pair_detected(self, fixture_report, fixture_graph):
         record = fixture_report.records[0]
-        swapped = dataclasses.replace(
-            record, concept_a=record.concept_b, concept_b=record.concept_a)
-        report = dataclasses.replace(fixture_report, records=(swapped,))
+        swapped = record._replace(concept_a=record.concept_b, concept_b=record.concept_a)
+        report = fixture_report._replace(records=(swapped,))
         with pytest.raises(InternalInvariantError):
             _check_report(report, fixture_graph)
 
     def test_empty_question_ids_detected(self, fixture_report, fixture_graph):
-        record = dataclasses.replace(fixture_report.records[0], question_ids=())
-        report = dataclasses.replace(fixture_report, records=(record,))
+        record = fixture_report.records[0]._replace(question_ids=())
+        report = fixture_report._replace(records=(record,))
         with pytest.raises(InternalInvariantError):
             _check_report(report, fixture_graph)
 
     def test_fabricated_path_detected(self, fixture_report, fixture_graph):
         record = fixture_report.records[0]
-        fake = dataclasses.replace(
-            record.full,
+        fake = record.full._replace(
             nodes=("c:Perpendicular", "c:Angle", "c:Segment", "c:TriangleMiddleLine"))
-        report = dataclasses.replace(
-            fixture_report, records=(dataclasses.replace(record, full=fake),))
+        report = fixture_report._replace(records=(record._replace(full=fake),))
         with pytest.raises(InternalInvariantError):
             _check_report(report, fixture_graph)
 

@@ -1,0 +1,160 @@
+"""The records are named tuples: what they print, equal, hash and refuse.
+
+``InternalInvariantError`` messages embed a record's repr, so the reprs are
+pinned as literals.
+"""
+
+import pytest
+
+from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
+from onto_enrich.errors import InternalInvariantError
+from onto_enrich.matcher import ConceptMatch, MatchConfig
+from onto_enrich.ontology import Concept, Label, Literal, OntologyGraph, RelationEdge
+from onto_enrich.pathfinder import ConnectionRecord, PathResult
+from onto_enrich.pipeline import Report, RunConfig, _check_report
+from onto_enrich.textnorm import Lexicon, Stoplist
+
+PHRASE = MarkedPhrase("q1", PhraseKind.NP, "right angle", PhraseSource.QUESTION_TEXT, 0)
+PATH = PathResult(1, ("c:A", "c:B"), ("rdfs:subClassOf",))
+RECORD = ConnectionRecord("c:A", "c:B", PATH, PATH, False, ("q1",))
+
+RECORDS = [
+    (Literal("square", "en"), "Literal(text='square', lang='en')"),
+    (Label("square"), "Label(text='square', lang=None)"),
+    (Concept("c:Square", (Label("square", "en"),)),
+     "Concept(iri='c:Square', labels=(Label(text='square', lang='en'),))"),
+    (RelationEdge("c:A", "rdfs:subClassOf", "c:B"),
+     "RelationEdge(subject='c:A', predicate='rdfs:subClassOf', object='c:B')"),
+    (PHRASE,
+     "MarkedPhrase(question_id='q1', kind=<PhraseKind.NP: 'NP'>, raw='right angle', "
+     "source=<PhraseSource.QUESTION_TEXT: 'question_text'>, ordinal=0)"),
+    (ConceptMatch("q1", PHRASE, "c:RightAngle", "right angle", 1.0),
+     "ConceptMatch(question_id='q1', phrase=MarkedPhrase(question_id='q1', "
+     "kind=<PhraseKind.NP: 'NP'>, raw='right angle', "
+     "source=<PhraseSource.QUESTION_TEXT: 'question_text'>, ordinal=0), "
+     "concept_iri='c:RightAngle', matched_label='right angle', score=1.0)"),
+    (PATH, "PathResult(length=1, nodes=('c:A', 'c:B'), predicates=('rdfs:subClassOf',))"),
+    (RECORD,
+     "ConnectionRecord(concept_a='c:A', concept_b='c:B', "
+     "hierarchical=PathResult(length=1, nodes=('c:A', 'c:B'), "
+     "predicates=('rdfs:subClassOf',)), full=PathResult(length=1, nodes=('c:A', 'c:B'), "
+     "predicates=('rdfs:subClassOf',)), optimal=False, question_ids=('q1',))"),
+    (MatchConfig(), "MatchConfig(word_threshold=0.75, seq_threshold=0.5)"),
+    (RunConfig("o.nt", "c.xml"),
+     "RunConfig(ontology='o.nt', corpus='c.xml', lexicon=None, stoplist=None, "
+     "match=MatchConfig(word_threshold=0.75, seq_threshold=0.5), max_depth=6, "
+     "label_predicates=('rdfs:label',), "
+     "hierarchical_predicates=('ome:hasChild', 'rdfs:subClassOf'), label_lang=None, "
+     "format='json', optimal_only=False, out=None)"),
+]
+IDS = [type(record).__name__ for record, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record,text", RECORDS, ids=IDS)
+def test_repr_is_pinned(record, text):
+    assert repr(record) == text
+    assert str(record) == text
+
+
+@pytest.mark.parametrize("record", [r for r, _ in RECORDS], ids=IDS)
+def test_value_equality_and_hash(record):
+    copy = type(record)(*record)
+    assert copy == record and copy is not record
+    assert hash(copy) == hash(record)
+    assert record == tuple(record)
+    assert hash(record) == hash(tuple(record))
+    first = type(record)._fields[0]
+    assert getattr(record, first) == record[0]
+
+
+@pytest.mark.parametrize("record", [r for r, _ in RECORDS], ids=IDS)
+def test_attribute_assignment_is_rejected(record):
+    with pytest.raises(AttributeError):
+        setattr(record, type(record)._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_invariant_message_embeds_the_repr():
+    graph = OntologyGraph(
+        {"c:A": Concept("c:A", ()), "c:B": Concept("c:B", ())},
+        (RelationEdge("c:A", "rdfs:subClassOf", "c:B"),),
+        frozenset({"rdfs:subClassOf"}),
+    )
+    swapped = RECORD._replace(concept_a="c:B", concept_b="c:A")
+    report = Report("0", RunConfig("o.nt", "c.xml"), (swapped,), (), ())
+    with pytest.raises(InternalInvariantError) as exc:
+        _check_report(report, graph)
+    assert str(exc.value) == (
+        "unordered pair in ConnectionRecord(concept_a='c:B', concept_b='c:A', "
+        "hierarchical=PathResult(length=1, nodes=('c:A', 'c:B'), "
+        "predicates=('rdfs:subClassOf',)), full=PathResult(length=1, nodes=('c:A', 'c:B'), "
+        "predicates=('rdfs:subClassOf',)), optimal=False, question_ids=('q1',))")
+
+
+class TestConfigValidation:
+    """``_replace`` and ``_make`` validate exactly as the constructors do."""
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("word_threshold", -0.1, "word_threshold must be within [0, 1], got -0.1"),
+        ("seq_threshold", 2.0, "seq_threshold must be within [0, 1], got 2.0"),
+    ])
+    def test_match_config(self, field, value, message):
+        values = {**MatchConfig()._asdict(), field: value}
+        for build in (lambda: MatchConfig(**values),
+                      lambda: MatchConfig()._replace(**{field: value}),
+                      lambda: MatchConfig._make(values.values())):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("max_depth", 0, "max_depth must be >= 1"),
+        ("format", "xml", "format must be one of ('json', 'csv'), got 'xml'"),
+    ])
+    def test_run_config(self, field, value, message):
+        config = RunConfig("o.nt", "c.xml")
+        values = {**config._asdict(), field: value}
+        for build in (lambda: RunConfig(**values),
+                      lambda: config._replace(**{field: value}),
+                      lambda: RunConfig._make(values.values())):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    def test_valid_copies_keep_their_type(self):
+        config = RunConfig("o.nt", "c.xml")
+        assert type(config._replace(max_depth=3)) is RunConfig
+        assert type(RunConfig._make(config)) is RunConfig
+        assert type(MatchConfig()._replace(seq_threshold=0.0)) is MatchConfig
+        assert MatchConfig._make((0.1, 0.2)) == MatchConfig(0.1, 0.2)
+
+
+class TestSlotClasses:
+    """``OntologyGraph``, ``Lexicon`` and ``Stoplist`` compare by value."""
+
+    def test_graph(self):
+        args = ({"c:A": Concept("c:A", ()), "c:B": Concept("c:B", ())},
+                (RelationEdge("c:A", "p", "c:B"),), frozenset({"p"}))
+        graph = OntologyGraph(*args)
+        assert graph == OntologyGraph(*args)
+        assert graph != OntologyGraph(args[0], (), args[2])
+        assert repr(graph) == (
+            "OntologyGraph(concepts={'c:A': Concept(iri='c:A', labels=()), "
+            "'c:B': Concept(iri='c:B', labels=())}, "
+            "edges=(RelationEdge(subject='c:A', predicate='p', object='c:B'),), "
+            "hierarchical_predicates=frozenset({'p'}))")
+        with pytest.raises(TypeError):
+            hash(graph)
+
+    def test_lexicon(self):
+        assert Lexicon({"cats": "cat"}) == Lexicon({"cats": "cat"})
+        assert Lexicon() != Lexicon({"cats": "cat"})
+        assert repr(Lexicon({"cats": "cat"})) == "Lexicon(entries={'cats': 'cat'})"
+        assert Lexicon().entries is not Lexicon().entries
+
+    def test_stoplist(self):
+        assert Stoplist(frozenset({"of"})) == Stoplist(frozenset({"of"}))
+        assert Stoplist() != Stoplist(frozenset({"of"}))
+        assert hash(Stoplist(frozenset({"of"}))) == hash(Stoplist(frozenset({"of"})))
+        assert repr(Stoplist(frozenset({"of"}))) == "Stoplist(forms=frozenset({'of'}))"
