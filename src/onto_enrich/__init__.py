@@ -37,14 +37,7 @@ from .errors import (
     UnknownConceptError,
     UnterminatedLiteralError,
 )
-from .matcher import (
-    ConceptMatch,
-    MatchConfig,
-    char_jaccard,
-    match_phrase,
-    match_question,
-    seq_similarity,
-)
+from .matcher import ConceptMatch, MatchConfig, match_phrase, match_question
 from .ontology import (
     Concept,
     Label,
@@ -66,14 +59,7 @@ from .pathfinder import (
     shortest_path,
 )
 from .pipeline import Report, RunConfig, run, serialize_report
-from .textnorm import (
-    Lexicon,
-    Stoplist,
-    load_lexicon,
-    load_stoplist,
-    normalize_phrase,
-    tokenize,
-)
+from .textnorm import Lexicon, Stoplist, load_lexicon, load_stoplist, normalize_phrase
 
 __all__ = [
     "Answer",
@@ -101,10 +87,8 @@ __all__ = [
     "UnterminatedLiteralError",
     "ConceptMatch",
     "MatchConfig",
-    "char_jaccard",
     "match_phrase",
     "match_question",
-    "seq_similarity",
     "Concept",
     "IndexEntry",
     "Label",
@@ -128,7 +112,6 @@ __all__ = [
     "load_lexicon",
     "load_stoplist",
     "normalize_phrase",
-    "tokenize",
     "Report",
     "RunConfig",
     "run",

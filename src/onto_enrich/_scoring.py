@@ -14,8 +14,6 @@ one comparison per size finds exactly the rows that can pair. Only entries
 holding such a row are paired; every other entry pairs nothing.
 """
 
-from __future__ import annotations
-
 from typing import Iterable, NamedTuple
 
 from .errors import EmptySequenceError
@@ -136,7 +134,7 @@ def _min_overlap(n: int, s: int, word_threshold: float) -> int | None:
     the rows whose Jaccard clears ``word_threshold``.
     """
     for i in range(min(n, s) + 1):
-        # two empty sets count as equal, as in matcher.char_jaccard
+        # two empty sets count as equal, as in the char_jaccard spec (tests/oracles.py)
         if (i / (n + s - i) if n + s else 1.0) >= word_threshold:
             return i
     return None

@@ -8,8 +8,6 @@ Exit codes: 0 success, 1 bad input (unreadable or malformed files, bad
 flags, unwritable output), 2 internal invariant violation.
 """
 
-from __future__ import annotations
-
 import argparse
 import errno
 import os
@@ -44,7 +42,15 @@ def _positive_int(value: str) -> int:
     return number
 
 
+class _Repeatable(argparse.Action):
+    # each use adds one value; the first replaces the default
+    def __call__(self, parser, namespace, value, option_string=None):
+        held = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, (() if held is self.default else held) + (value,))
+
+
 def build_parser() -> argparse.ArgumentParser:
+    defaults = {**MatchConfig._field_defaults, **RunConfig._field_defaults}
     parser = _Parser(
         prog="onto-enrich",
         description=(
@@ -57,19 +63,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--corpus", required=True, help="XML question corpus with TERM1/TERM2 markup")
     parser.add_argument("--lexicon", help="TSV surface->lemma dictionary (default: identity)")
     parser.add_argument("--stoplist", help="one stop form per line (default: built-in English list)")
-    parser.add_argument("--word-threshold", type=_threshold, default=0.75,
-                        help="min char Jaccard for two words to pair (default 0.75)")
-    parser.add_argument("--seq-threshold", type=_threshold, default=0.5,
-                        help="min sequence score for a phrase to match (default 0.5)")
-    parser.add_argument("--max-depth", type=_positive_int, default=6,
-                        help="path search depth cap in edges (default 6)")
+    parser.add_argument("--word-threshold", type=_threshold, default=defaults["word_threshold"],
+                        help="min char Jaccard for two words to pair (default %(default)s)")
+    parser.add_argument("--seq-threshold", type=_threshold, default=defaults["seq_threshold"],
+                        help="min sequence score for a phrase to match (default %(default)s)")
+    parser.add_argument("--max-depth", type=_positive_int, default=defaults["max_depth"],
+                        help="path search depth cap in edges (default %(default)s)")
     parser.add_argument("--label-lang", help="keep only labels with this language tag")
-    parser.add_argument("--hierarchical-predicate", action="append", metavar="IRI",
-                        help="hierarchy predicate; repeatable "
-                             "(default rdfs:subClassOf and ome:hasChild)")
-    parser.add_argument("--label-predicate", action="append", metavar="IRI",
-                        help="label predicate; repeatable (default rdfs:label)")
-    parser.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
+    parser.add_argument("--hierarchical-predicate", dest="hierarchical_predicates",
+                        action=_Repeatable, default=defaults["hierarchical_predicates"],
+                        metavar="IRI",
+                        help="hierarchy predicate; repeatable (default %(default)s)")
+    parser.add_argument("--label-predicate", dest="label_predicates",
+                        action=_Repeatable, default=defaults["label_predicates"],
+                        metavar="IRI",
+                        help="label predicate; repeatable (default %(default)s)")
+    parser.add_argument("--format", choices=OUTPUT_FORMATS, default=defaults["format"])
     parser.add_argument("--optimal-only", action="store_true",
                         help="report only pairs with a strictly shorter full path")
     parser.add_argument("--jobs", type=_positive_int, default=1,
@@ -89,13 +98,11 @@ def main(argv: list[str] | None = None) -> int:
             stoplist=args.stoplist,
             match=MatchConfig(args.word_threshold, args.seq_threshold),
             max_depth=args.max_depth,
-            label_predicates=_predicates(args.label_predicate, ("rdfs:label",)),
-            hierarchical_predicates=_predicates(
-                args.hierarchical_predicate, ("ome:hasChild", "rdfs:subClassOf")),
+            label_predicates=args.label_predicates,
+            hierarchical_predicates=args.hierarchical_predicates,
             label_lang=args.label_lang,
             format=args.format,
             optimal_only=args.optimal_only,
-            out=args.out,
         )
         with _atomic_output(args.out) as handle:
             report = run(config)
@@ -153,10 +160,6 @@ def _atomic_output(out: str):
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _predicates(given: list[str] | None, default: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(given) if given else default
 
 
 if __name__ == "__main__":

@@ -8,8 +8,6 @@ spans, unknown elements or attributes, non-UTF-8 encodings, a document type
 declaration) are rejected with a position, never repaired.
 """
 
-from __future__ import annotations
-
 import enum
 from typing import NamedTuple
 from xml.parsers import expat

@@ -1,7 +1,5 @@
 """Exception hierarchy shared by all onto_enrich modules."""
 
-from __future__ import annotations
-
 
 class OntoEnrichError(Exception):
     """Base class for all input and processing errors raised by this package."""

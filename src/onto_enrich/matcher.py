@@ -7,8 +7,6 @@ count m scores the sequences as m / (|A| + |B| - m). A phrase maps to the
 single best-scoring concept label at or above the sequence threshold.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from . import _scoring
@@ -53,46 +51,6 @@ class ConceptMatch(NamedTuple):
     concept_iri: str
     matched_label: str
     score: float
-
-
-def char_jaccard(a: str, b: str) -> float:
-    """Jaccard coefficient of the distinct-character sets of two lemmas.
-
-    1.0 when both are empty; 0.0 when the alphabets are disjoint.
-    """
-    sa = set(a)
-    sb = set(b)
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / len(sa | sb)
-
-
-def seq_similarity(a: LemmaSequence, b: LemmaSequence, word_threshold: float) -> float:
-    """Greedy fuzzy-overlap score of two non-empty lemma sequences.
-
-    Tokens of ``a`` are taken in order; each pairs with the not-yet-paired
-    token of ``b`` of maximal char_jaccard among those >= word_threshold
-    (ties resolve to the earliest position in ``b``). With m matched pairs
-    the score is m / (|a| + |b| - m).
-    """
-    if not a or not b:
-        raise EmptySequenceError("seq_similarity requires non-empty sequences")
-    taken = [False] * len(b)
-    m = 0
-    for ta in a:
-        best_k = -1
-        best_cj = -1.0
-        for k, tb in enumerate(b):
-            if taken[k]:
-                continue
-            cj = char_jaccard(ta, tb)
-            if cj >= word_threshold and cj > best_cj:
-                best_cj = cj
-                best_k = k
-        if best_k >= 0:
-            taken[best_k] = True
-            m += 1
-    return m / (len(a) + len(b) - m)
 
 
 def match_phrase(

@@ -12,8 +12,6 @@ rdfs:subClassOf and ome:hasChild) form the hierarchy; every edge belongs to
 the full relation graph.
 """
 
-from __future__ import annotations
-
 import re
 from typing import Callable, Iterable, NamedTuple
 

@@ -8,8 +8,6 @@ strictly shorter than the shortest hierarchical-only path — the signal that
 a direct cross-relation is worth proposing to the ontology experts.
 """
 
-from __future__ import annotations
-
 import enum
 import itertools
 from typing import Iterable, Mapping, NamedTuple
@@ -58,14 +56,15 @@ def paths_from(
 ) -> dict[str, PathResult]:
     """Shortest paths of length <= max_depth from ``src`` to each target.
 
-    One breadth-first search serves every target: it stops once all of them
-    are discovered or the depth cap is reached, and targets out of reach are
-    absent from the result. Edges are traversed as undirected. Among
-    equal-length paths the result is the one BFS reaches first when every
-    node expands its neighbors in ascending (neighbor iri, predicate iri)
-    order, which pins the output byte-for-byte across runs. A node's
-    predecessor is fixed when it is first discovered, so each target gets
-    the same path as a search that stops at that target alone.
+    Edges are traversed as undirected; targets out of reach are absent from
+    the result. Of all shortest paths to a target, the result is the one
+    whose node sequence is lexicographically smallest, and each of its steps
+    takes the smallest predicate joining its two nodes under the edge filter.
+    One breadth-first search serves every target, stopping once all are
+    discovered or the depth cap is reached. It expands each node's neighbors
+    in ascending (neighbor iri, predicate iri) order and fixes a node's
+    predecessor at first discovery, so every level's frontier is in the
+    order of its nodes' paths and each node gets that smallest path.
     """
     targets = list(targets)
     for iri in (src, *targets):
@@ -135,33 +134,29 @@ def enumerate_pairs(matches: list[ConceptMatch]) -> list[tuple[str, str, str]]:
 def compare_from(
     graph: OntologyGraph,
     src: str,
-    dsts: Iterable[str],
+    question_ids: Mapping[str, tuple[str, ...]],
     max_depth: int = DEFAULT_MAX_DEPTH,
-    question_ids: Mapping[str, tuple[str, ...]] | None = None,
 ) -> list[ConnectionRecord]:
-    """One record per pair (src, dst), in ``dsts`` order, flagging optimality.
+    """One record per pair (src, dst), for each dst of ``question_ids`` in order.
 
+    ``question_ids`` maps each dst to the question ids its record carries.
     ``src`` must not sort after any dst, so that it is each pair's
     ``concept_a``. One hierarchical and one full search from ``src`` serve
-    every pair. Each record carries ``question_ids[dst]``, or no ids when
-    the mapping is absent or lacks that dst.
+    every pair.
     """
-    dsts = list(dsts)
-    if any(dst < src for dst in dsts):
+    if any(dst < src for dst in question_ids):
         raise ValueError(f"every dst must sort at or after src <{src}>")
-    hierarchical = paths_from(graph, src, dsts, EdgeFilter.HIERARCHICAL, max_depth)
-    full = paths_from(graph, src, dsts, EdgeFilter.ALL, max_depth)
-    question_ids = question_ids or {}
+    hierarchical = paths_from(graph, src, question_ids, EdgeFilter.HIERARCHICAL, max_depth)
+    full = paths_from(graph, src, question_ids, EdgeFilter.ALL, max_depth)
     records = []
-    for dst in dsts:
+    for dst, ids in question_ids.items():
         hier_path, full_path = hierarchical.get(dst), full.get(dst)
         optimal = (
             hier_path is not None
             and full_path is not None
             and full_path.length < hier_path.length
         )
-        records.append(ConnectionRecord(
-            src, dst, hier_path, full_path, optimal, question_ids.get(dst, ())))
+        records.append(ConnectionRecord(src, dst, hier_path, full_path, optimal, ids))
     return records
 
 
@@ -172,4 +167,4 @@ def compare(
 ) -> ConnectionRecord:
     """``compare_from`` for one pair, taken in sorted order."""
     concept_a, concept_b = sorted(pair)
-    return compare_from(graph, concept_a, (concept_b,), max_depth)[0]
+    return compare_from(graph, concept_a, {concept_b: ()}, max_depth)[0]

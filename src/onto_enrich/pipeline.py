@@ -8,15 +8,11 @@ deterministically ordered report. Every stage runs once, in order, in the
 calling thread.
 """
 
-from __future__ import annotations
-
 import csv
 import io
-import itertools
 import math
 from contextlib import contextmanager
 from json.encoder import encode_basestring  # json's string escaper, in C
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,7 +55,6 @@ class _RunConfig(NamedTuple):
     label_lang: str | None = None
     format: str = "json"
     optimal_only: bool = False
-    out: str | None = None
 
 
 class RunConfig(_RunConfig):
@@ -134,12 +129,12 @@ def run(config: RunConfig) -> Report:
         for q in corpus.questions
     ]
 
-    pair_questions: dict[tuple[str, str], set[str]] = {}
+    by_source: dict[str, dict[str, set[str]]] = {}
     for per_question in matches:
         for a, b, qid in enumerate_pairs(per_question):
-            pair_questions.setdefault((a, b), set()).add(qid)
+            by_source.setdefault(a, {}).setdefault(b, set()).add(qid)
 
-    records = _compare_all(graph, pair_questions, config.max_depth)
+    records = _compare_all(graph, by_source, config.max_depth)
     records.sort(key=_record_sort_key)
     if config.optimal_only:
         records = [r for r in records if r.optimal]
@@ -159,13 +154,12 @@ def run(config: RunConfig) -> Report:
     return report
 
 
-def _compare_all(graph, pair_questions, max_depth):
-    # pairs sort by concept_a, so each group is one source's searches; its
-    # dsts map to their sorted question ids, in order
+def _compare_all(graph, by_source, max_depth):
+    # one search per source, over its dsts in order, each pair's ids sorted
     records = []
-    for src, pairs in itertools.groupby(sorted(pair_questions), key=itemgetter(0)):
-        ids = {b: tuple(sorted(pair_questions[src, b])) for _, b in pairs}
-        records.extend(compare_from(graph, src, ids, max_depth, question_ids=ids))
+    for src in sorted(by_source):
+        ids = {dst: tuple(sorted(qids)) for dst, qids in sorted(by_source[src].items())}
+        records.extend(compare_from(graph, src, ids, max_depth))
     return records
 
 

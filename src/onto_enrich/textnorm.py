@@ -7,8 +7,6 @@ is a ``LemmaSequence`` — a tuple of lemma strings — which is what the matche
 compares.
 """
 
-from __future__ import annotations
-
 import codecs
 import re
 from typing import Mapping
@@ -23,29 +21,17 @@ LemmaSequence = tuple[str, ...]
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def tokenize(text: str) -> list[str]:
-    """Split ``text`` into case-folded alphanumeric tokens, order preserved.
-
-    >>> tokenize("Triangle's mid-line")
-    ['triangle', 's', 'mid', 'line']
-    """
-    return [m.group().casefold() for m in _TOKEN_RE.finditer(text)]
-
-
 class Lexicon:
     """Surface-form to lemma dictionary with identity fallback.
 
-    Keys and values are case-folded at load time; lookup never fails — a
-    surface absent from the map lemmatizes to itself. ``Lexicon()`` is empty.
+    Keys and values are case-folded at load time. ``normalize_phrase`` maps
+    a surface absent from the map to itself. ``Lexicon()`` is empty.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping[str, str] | None = None):
         self.entries = {} if entries is None else entries
-
-    def lemma(self, surface: str) -> str:
-        return self.entries.get(surface, surface)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -102,8 +88,7 @@ def normalize_phrase(text: str, lexicon: Lexicon, stoplist: Stoplist) -> LemmaSe
     covers a whole word family. May return an empty tuple when every token is
     stoplisted; callers exclude such sequences from matching.
     """
-    # tokenize and Lexicon.lemma inlined, with the lookups bound once: this
-    # runs for every phrase and every label
+    # the lookups are bound once: this runs for every phrase and every label
     lemma = lexicon.entries.get
     stop = stoplist.forms
     return tuple(

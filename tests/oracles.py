@@ -1,10 +1,18 @@
 """Independent oracles used by the test suite.
 
+The scoring and tokenizing specs come first: ``char_jaccard`` and
+``seq_similarity`` define the two-level match score one pair of sequences
+at a time, and ``tokenize`` and ``lemma`` define the steps that
+``normalize_phrase`` fuses into one pass. The program runs none of them;
+its scorer and normalizer are checked against them.
+
 The all-pairs shortest-path oracle is a straight Floyd-Warshall over a dense
 numpy matrix — deliberately nothing like the package's BFS, so the two can
 check each other. The BFS reference searches anew for each pair and stops at
 its one target, where the package's search serves every target of a source
 in one sweep; both must give each target the same path and tie-break. The
+brute-force path oracle states that tie-break as a property: it lists every
+shortest path and takes the lexicographically smallest node sequence. The
 greedy pairing oracle scores one phrase against every entry with plain
 per-entry loops over sorted codepoint arrays, where the package's scorer
 counts shared characters for all rows at once in bitmasks and pairs only
@@ -16,15 +24,74 @@ the package writes the report's fixed schema directly.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
-from onto_enrich.errors import UnknownConceptError
+from onto_enrich.errors import EmptySequenceError, UnknownConceptError
 from onto_enrich.ontology import OntologyGraph
 from onto_enrich.pathfinder import DEFAULT_MAX_DEPTH, EdgeFilter, PathResult
 from onto_enrich.pipeline import Report
+from onto_enrich.textnorm import Lexicon
 
 INF = np.inf
+
+
+def char_jaccard(a: str, b: str) -> float:
+    """Jaccard coefficient of the distinct-character sets of two lemmas.
+
+    1.0 when both are empty; 0.0 when the alphabets are disjoint.
+    """
+    sa = set(a)
+    sb = set(b)
+    if not sa and not sb:
+        return 1.0
+    return len(sa & sb) / len(sa | sb)
+
+
+def seq_similarity(a: tuple[str, ...], b: tuple[str, ...], word_threshold: float) -> float:
+    """Greedy fuzzy-overlap score of two non-empty lemma sequences.
+
+    Tokens of ``a`` are taken in order; each pairs with the not-yet-paired
+    token of ``b`` of maximal char_jaccard among those >= word_threshold
+    (ties resolve to the earliest position in ``b``). With m matched pairs
+    the score is m / (|a| + |b| - m).
+    """
+    if not a or not b:
+        raise EmptySequenceError("seq_similarity requires non-empty sequences")
+    taken = [False] * len(b)
+    m = 0
+    for ta in a:
+        best_k = -1
+        best_cj = -1.0
+        for k, tb in enumerate(b):
+            if taken[k]:
+                continue
+            cj = char_jaccard(ta, tb)
+            if cj >= word_threshold and cj > best_cj:
+                best_cj = cj
+                best_k = k
+        if best_k >= 0:
+            taken[best_k] = True
+            m += 1
+    return m / (len(a) + len(b) - m)
+
+
+def tokenize(text: str) -> list[str]:
+    """Split ``text`` into case-folded alphanumeric tokens, order preserved.
+
+    Maximal runs of Unicode letters and digits are tokens; everything else
+    (hyphens, apostrophes, underscores, punctuation, whitespace) separates.
+
+    >>> tokenize("Triangle's mid-line")
+    ['triangle', 's', 'mid', 'line']
+    """
+    return [m.group().casefold() for m in re.finditer(r"[^\W_]+", text)]
+
+
+def lemma(lexicon: Lexicon, surface: str) -> str:
+    """The lexicon's lemma for ``surface``, or ``surface`` itself if absent."""
+    return lexicon.entries.get(surface, surface)
 
 
 def floyd_warshall(n_nodes: int, edges: list[tuple[int, int]]) -> np.ndarray:
@@ -91,6 +158,39 @@ def bfs_path_reference(
         if not next_frontier:
             return None
         frontier = next_frontier
+    return None
+
+
+def lexmin_shortest_path(
+    graph: OntologyGraph,
+    src: str,
+    dst: str,
+    edge_filter: EdgeFilter,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> PathResult | None:
+    """The reported path by its definition, or None if out of reach.
+
+    Lists every path of the shortest length <= max_depth over the graph's
+    edges, traversed as undirected, and takes the lexicographically smallest
+    node sequence; each step takes the smallest predicate joining its two
+    nodes under the edge filter. Exponential in the path length: small
+    graphs only.
+    """
+    hier = edge_filter is EdgeFilter.HIERARCHICAL
+    joining: dict[str, dict[str, set[str]]] = {}
+    for subject, predicate, obj in graph.edges:
+        if not hier or predicate in graph.hierarchical_predicates:
+            joining.setdefault(subject, {}).setdefault(obj, set()).add(predicate)
+            joining.setdefault(obj, {}).setdefault(subject, set()).add(predicate)
+    paths = [(src,)]
+    for _ in range(max_depth + 1):
+        reached = [path for path in paths if path[-1] == dst]
+        if reached:
+            nodes = min(reached)
+            predicates = tuple(min(joining[a][b]) for a, b in zip(nodes, nodes[1:]))
+            return PathResult(len(predicates), nodes, predicates)
+        paths = [path + (node,) for path in paths
+                 for node in joining.get(path[-1], ()) if node not in path]
     return None
 
 

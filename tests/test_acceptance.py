@@ -11,10 +11,10 @@ import numpy as np
 
 from onto_enrich import parse_corpus
 from onto_enrich.corpus import PhraseKind, PhraseSource, extract_phrases
-from onto_enrich.matcher import MatchConfig, char_jaccard, match_question, seq_similarity
+from onto_enrich.matcher import MatchConfig, match_question
 from onto_enrich.pathfinder import EdgeFilter, shortest_path
 from onto_enrich.pipeline import RunConfig, run, serialize_report
-from oracles import graph_distances, random_typed_graph
+from oracles import char_jaccard, graph_distances, lemma, random_typed_graph, seq_similarity
 
 FIXTURE_CONFIG = RunConfig(
     ontology="fixtures/ontology.nt",
@@ -183,7 +183,7 @@ def test_criterion_6_corpus_extraction(repo_root):
 @criterion(7, "fixture lexicon normalizes 'triangles'; stoplisted phrases never reach matching")
 def test_criterion_7_normalization(repo_root, fixture_lexicon, fixture_index,
                                    fixture_stoplist, monkeypatch):
-    assert fixture_lexicon.lemma("triangles") == "triangle"
+    assert lemma(fixture_lexicon, "triangles") == "triangle"
 
     from onto_enrich import matcher as matcher_module
     from onto_enrich.corpus import MarkedPhrase, MarkedText, Question, TextSpan

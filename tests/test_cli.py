@@ -7,13 +7,17 @@ import sys
 
 import pytest
 
-from onto_enrich.cli import main
+from onto_enrich.cli import build_parser, main
+from onto_enrich.matcher import MatchConfig
+from onto_enrich.pipeline import RunConfig
 
 FIXTURE_ARGS = [
     "--ontology", "fixtures/ontology.nt",
     "--corpus", "fixtures/corpus.xml",
     "--lexicon", "fixtures/lexicon.tsv",
 ]
+
+REQUIRED_ARGS = ["--ontology", "o.nt", "--corpus", "c.xml", "--out", "r.json"]
 
 
 @pytest.fixture()
@@ -59,6 +63,19 @@ class TestMain:
         assert main(FIXTURE_ARGS + ["--out", str(serial)]) == 0
         assert main(FIXTURE_ARGS + ["--jobs", "4", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_defaults_are_the_records_defaults(self):
+        args = build_parser().parse_args(REQUIRED_ARGS)
+        match = MatchConfig(args.word_threshold, args.seq_threshold)
+        assert match == MatchConfig()
+        fields = {name: getattr(args, name) for name in RunConfig._fields if name != "match"}
+        assert RunConfig(match=match, **fields) == RunConfig("o.nt", "c.xml")
+
+    def test_repeated_predicate_flag_replaces_its_default(self):
+        args = build_parser().parse_args(
+            REQUIRED_ARGS + ["--label-predicate", "p:b", "--label-predicate", "p:a"])
+        assert args.label_predicates == ("p:b", "p:a")
+        assert args.hierarchical_predicates == RunConfig._field_defaults["hierarchical_predicates"]
 
     def test_warning_goes_to_stderr(self, in_repo_root, tmp_path, capsys):
         ontology = tmp_path / "onto.nt"

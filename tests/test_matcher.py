@@ -9,16 +9,9 @@ from onto_enrich import _scoring
 from onto_enrich._scoring import IndexEntry, LabelIndex
 from onto_enrich.corpus import MarkedPhrase, MarkedText, PhraseKind, PhraseSource, Question
 from onto_enrich.errors import EmptySequenceError
-from onto_enrich.matcher import (
-    ConceptMatch,
-    MatchConfig,
-    char_jaccard,
-    match_phrase,
-    match_question,
-    seq_similarity,
-)
+from onto_enrich.matcher import ConceptMatch, MatchConfig, match_phrase, match_question
 from onto_enrich.textnorm import Lexicon, Stoplist, normalize_phrase
-from oracles import reference_counts
+from oracles import char_jaccard, reference_counts, seq_similarity
 
 
 def _phrase(raw: str, qid: str = "q1", ordinal: int = 0) -> MarkedPhrase:

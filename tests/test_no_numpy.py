@@ -52,3 +52,25 @@ def test_import_loads_no_code_generator(repo_root):
                                 " & set(sys.modules)))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# a string annotation costs typing.NamedTuple one ForwardRef compile per field
+STRING_ANNOTATIONS = """
+import sys, typing, onto_enrich.cli
+found = []
+for name, module in sorted(sys.modules.items()):
+    if name.split(".")[0] != "onto_enrich":
+        continue
+    for cls in vars(module).values():
+        if isinstance(cls, type) and cls.__module__ == name:
+            for field, annotation in vars(cls).get("__annotations__", {}).items():
+                if isinstance(annotation, (str, typing.ForwardRef)):
+                    found.append(f"{name}.{cls.__name__}.{field}")
+print(found)
+"""
+
+
+def test_no_record_holds_a_string_annotation(repo_root):
+    result = _python(repo_root, STRING_ANNOTATIONS)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -20,7 +20,12 @@ from onto_enrich.pathfinder import (
     shortest_path,
 )
 from onto_enrich.pipeline import _compare_all
-from oracles import bfs_path_reference, graph_distances, random_typed_graph
+from oracles import (
+    bfs_path_reference,
+    graph_distances,
+    lexmin_shortest_path,
+    random_typed_graph,
+)
 
 
 def _chain_graph():
@@ -238,6 +243,25 @@ def queries(draw):
     return graph, src, targets, draw(st.integers(1, len(nodes)))
 
 
+@st.composite
+def multigraphs(draw):
+    """(graph, max_depth): a random multigraph over n:0.. whose linked pairs
+    carry any non-empty set of three predicates, two of them hierarchical,
+    each edge in either direction or both."""
+    n = draw(st.integers(2, 7))
+    rng = draw(st.randoms(use_true_random=False))
+    edge_prob = draw(st.floats(0.0, 1.0))
+    nodes = [f"n:{i}" for i in range(n)]
+    triples = [(iri, "rdfs:label", Literal(iri[2:], "en")) for iri in nodes]
+    for a, b in itertools.combinations(nodes, 2):
+        if rng.random() < edge_prob:
+            for predicate in rng.sample(["p:sub", "p:hier", "p:cross"], rng.randint(1, 3)):
+                for subject, obj in rng.choice([[(a, b)], [(b, a)], [(a, b), (b, a)]]):
+                    triples.append((subject, predicate, obj))
+    graph = build_graph(triples, hierarchical_predicates={"p:sub", "p:hier"})
+    return graph, draw(st.integers(1, n))
+
+
 # A-B1-C and A-B2-C tie under both filters; B1-C also has two predicates
 _TIE_GRAPH = build_graph([
     ("c:A", "p:hier", "c:B2"),
@@ -305,7 +329,7 @@ class TestCompareFrom:
     @example(_TIE_QUERY)
     def test_equals_compare_per_pair(self, query):
         graph, src, targets, max_depth = query
-        dsts = [t for t in targets if t >= src]
+        dsts = {t: () for t in targets if t >= src}
         assert compare_from(graph, src, dsts, max_depth) == [
             compare(graph, (src, dst), max_depth) for dst in dsts]
 
@@ -313,15 +337,28 @@ class TestCompareFrom:
     @given(queries(), st.randoms(use_true_random=False))
     def test_question_ids_set_per_dst(self, query, rng):
         graph, src, targets, max_depth = query
-        dsts = [t for t in targets if t >= src]
-        ids = {dst: (f"q{rng.randrange(3)}",) for dst in dsts if rng.random() < 0.7}
-        assert compare_from(graph, src, dsts, max_depth, question_ids=ids) == [
-            record._replace(question_ids=ids.get(record.concept_b, ()))
-            for record in compare_from(graph, src, dsts, max_depth)]
+        ids = {t: (f"q{rng.randrange(3)}",) * rng.randrange(3) for t in targets if t >= src}
+        assert compare_from(graph, src, ids, max_depth) == [
+            record._replace(question_ids=ids[record.concept_b])
+            for record in compare_from(graph, src, dict.fromkeys(ids, ()), max_depth)]
 
     def test_dst_before_src_rejected(self, fixture_graph):
         with pytest.raises(ValueError):
-            compare_from(fixture_graph, "c:Square", ["c:Rhombus"], 6)
+            compare_from(fixture_graph, "c:Square", {"c:Rhombus": ()}, 6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs())
+    @example((_TIE_GRAPH, 2))
+    def test_reports_the_lexmin_shortest_path(self, query):
+        graph, max_depth = query
+        nodes = sorted(graph.concepts)
+        for src in nodes:
+            for record in compare_from(graph, src, {dst: () for dst in nodes if dst >= src},
+                                       max_depth):
+                for path, edge_filter in ((record.hierarchical, EdgeFilter.HIERARCHICAL),
+                                          (record.full, EdgeFilter.ALL)):
+                    assert path == lexmin_shortest_path(
+                        graph, src, record.concept_b, edge_filter, max_depth)
 
     @PROPERTY_SETTINGS
     @given(queries(), st.randoms(use_true_random=False))
@@ -333,7 +370,10 @@ class TestCompareFrom:
             for pair in itertools.combinations(nodes, 2)
             if rng.random() < 0.5
         }
-        records = _compare_all(graph, pair_questions, max_depth)
+        by_source = {}
+        for (a, b), ids in rng.sample(sorted(pair_questions.items()), len(pair_questions)):
+            by_source.setdefault(a, {})[b] = ids
+        records = _compare_all(graph, by_source, max_depth)
         assert [(r.concept_a, r.concept_b) for r in records] == sorted(pair_questions)
         assert [r.question_ids for r in records] == [
             tuple(sorted(pair_questions[pair])) for pair in sorted(pair_questions)]

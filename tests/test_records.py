@@ -45,7 +45,7 @@ RECORDS = [
      "match=MatchConfig(word_threshold=0.75, seq_threshold=0.5), max_depth=6, "
      "label_predicates=('rdfs:label',), "
      "hierarchical_predicates=('ome:hasChild', 'rdfs:subClassOf'), label_lang=None, "
-     "format='json', optimal_only=False, out=None)"),
+     "format='json', optimal_only=False)"),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
 

@@ -23,8 +23,7 @@ from onto_enrich._scoring import (
     score_counts,
 )
 from onto_enrich.errors import EmptySequenceError
-from onto_enrich.matcher import char_jaccard, seq_similarity
-from oracles import reference_counts
+from oracles import char_jaccard, reference_counts, seq_similarity
 
 # Latin, Cyrillic and a non-BMP letter: few enough that lemmas overlap
 # often, varied enough to cover non-ASCII codepoints

@@ -12,8 +12,8 @@ from onto_enrich.textnorm import (
     load_lexicon,
     load_stoplist,
     normalize_phrase,
-    tokenize,
 )
+from oracles import lemma, tokenize
 
 
 class TestTokenize:
@@ -42,13 +42,13 @@ class TestTokenize:
 class TestLemmatize:
     def test_lexicon_hit(self):
         lex = Lexicon({"triangles": "triangle"})
-        assert lex.lemma("triangles") == "triangle"
+        assert lemma(lex, "triangles") == "triangle"
 
     def test_identity_fallback(self):
-        assert Lexicon().lemma("triangle") == "triangle"
+        assert lemma(Lexicon(), "triangle") == "triangle"
 
     def test_fixture_entry(self, fixture_lexicon):
-        assert fixture_lexicon.lemma("axes") == "axis"
+        assert lemma(fixture_lexicon, "axes") == "axis"
 
 
 class TestNormalizePhrase:
@@ -75,16 +75,16 @@ class TestNormalizePhrase:
 class TestLoadLexicon:
     def test_single_entry(self):
         lex = load_lexicon(b"Triangles\ttriangle\n")
-        assert lex.lemma("triangles") == "triangle"
+        assert lemma(lex, "triangles") == "triangle"
 
     def test_empty_file(self):
         lex = load_lexicon(b"")
         assert len(lex) == 0
-        assert lex.lemma("anything") == "anything"
+        assert lemma(lex, "anything") == "anything"
 
     def test_last_duplicate_wins(self):
         lex = load_lexicon(b"a\tb\na\tc\n")
-        assert lex.lemma("a") == "c"
+        assert lemma(lex, "a") == "c"
 
     def test_comments_and_blanks_skipped(self):
         lex = load_lexicon(b"# comment\n\nlines\tline\n")
@@ -166,11 +166,22 @@ class TestProperties:
             assert normalize_phrase(text.upper(), lex, DEFAULT_STOPLIST) == \
                 normalize_phrase(text, lex, DEFAULT_STOPLIST)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("abAB2_-' .уГ\u0130\u00df"), max_size=24),
+           st.dictionaries(st.text("ab", min_size=1, max_size=2),
+                           st.text("ab", min_size=1, max_size=2)),
+           st.frozensets(st.text("ab", min_size=1, max_size=2)))
+    def test_normalize_is_tokenize_then_lemma_then_stoplist(self, text, entries, forms):
+        lex, stop = Lexicon(entries), Stoplist(forms)
+        expected = tuple(form for form in (lemma(lex, token) for token in tokenize(text))
+                         if form not in stop)
+        assert normalize_phrase(text, lex, stop) == expected
+
     def test_lemmatize_total_and_deterministic(self):
         lex = Lexicon({"a": "b"})
         for token in WORDS:
-            first = lex.lemma(token)
-            assert first == lex.lemma(token)
+            first = lemma(lex, token)
+            assert first == lemma(lex, token)
             assert first
 
 
