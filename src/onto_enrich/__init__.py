@@ -14,11 +14,9 @@ from .corpus import (
     Answer,
     AnswerKind,
     MarkedPhrase,
-    MarkedText,
     PhraseKind,
     PhraseSource,
     Question,
-    QuestionCorpus,
     TextSpan,
     extract_phrases,
     parse_corpus,
@@ -39,8 +37,6 @@ from .errors import (
 )
 from .matcher import ConceptMatch, MatchConfig, match_phrase, match_question
 from .ontology import (
-    Concept,
-    Label,
     Literal,
     OntologyGraph,
     RelationEdge,
@@ -59,17 +55,15 @@ from .pathfinder import (
     shortest_path,
 )
 from .pipeline import Report, RunConfig, run, serialize_report
-from .textnorm import Lexicon, Stoplist, load_lexicon, load_stoplist, normalize_phrase
+from .textnorm import load_lexicon, load_stoplist, normalize_phrase
 
 __all__ = [
     "Answer",
     "AnswerKind",
     "MarkedPhrase",
-    "MarkedText",
     "PhraseKind",
     "PhraseSource",
     "Question",
-    "QuestionCorpus",
     "TextSpan",
     "extract_phrases",
     "parse_corpus",
@@ -89,9 +83,7 @@ __all__ = [
     "MatchConfig",
     "match_phrase",
     "match_question",
-    "Concept",
     "IndexEntry",
-    "Label",
     "LabelIndex",
     "Literal",
     "OntologyGraph",
@@ -107,8 +99,6 @@ __all__ = [
     "enumerate_pairs",
     "paths_from",
     "shortest_path",
-    "Lexicon",
-    "Stoplist",
     "load_lexicon",
     "load_stoplist",
     "normalize_phrase",

@@ -6,6 +6,9 @@ phrases are marked inline with ``TERM1`` and prepositional phrases with
 ``TERM2``. Parsing is strict: structural violations (nested TERM tags, empty
 spans, unknown elements or attributes, non-UTF-8 encodings, a document type
 declaration) are rejected with a position, never repaired.
+
+``parse_corpus`` returns a tuple of ``Question``; a question's text and an
+answer's body are tuples of ``TextSpan`` in document order.
 """
 
 import enum
@@ -45,23 +48,15 @@ class TextSpan(NamedTuple):
     text: str
 
 
-class MarkedText(NamedTuple):
-    spans: tuple[TextSpan, ...]
-
-
 class Answer(NamedTuple):
     kind: AnswerKind
-    body: MarkedText
+    body: tuple[TextSpan, ...]
 
 
 class Question(NamedTuple):
     id: str
-    text: MarkedText
+    text: tuple[TextSpan, ...]
     answers: tuple[Answer, ...]
-
-
-class QuestionCorpus(NamedTuple):
-    questions: tuple[Question, ...]
 
 
 class MarkedPhrase(NamedTuple):
@@ -75,7 +70,7 @@ class MarkedPhrase(NamedTuple):
 
 
 class _CorpusBuilder:
-    """Expat handler set that builds a QuestionCorpus and validates layout."""
+    """Expat handler set that builds the questions and validates layout."""
 
     def __init__(self, parser: expat.XMLParserType):
         self._p = parser
@@ -176,13 +171,12 @@ class _CorpusBuilder:
             self._text_spans = spans
         elif name == "answer":
             self._flush_plain()
-            self._answers.append(Answer(self._answer_kind, MarkedText(tuple(self._spans))))
+            self._answers.append(Answer(self._answer_kind, tuple(self._spans)))
             self._answer_kind = None
         elif name == "question":
             if self._text_spans is None:
                 self._fail(f"question {self._qid!r} has no 'text' element")
-            self.questions.append(
-                Question(self._qid, MarkedText(self._text_spans), tuple(self._answers)))
+            self.questions.append(Question(self._qid, self._text_spans, tuple(self._answers)))
             self._qid = None
 
     def chardata(self, data: str) -> None:
@@ -204,12 +198,12 @@ class _CorpusBuilder:
 _REJECTED_BOMS = (b"\x00\x00\xfe\xff", b"\xff\xfe\x00\x00", b"\xff\xfe", b"\xfe\xff")
 
 
-def parse_corpus(data: bytes) -> QuestionCorpus:
-    """Parse corpus XML bytes into an immutable QuestionCorpus.
+def parse_corpus(data: bytes) -> tuple[Question, ...]:
+    """Parse corpus XML bytes into its questions, in document order.
 
     Raises MalformedXmlError or its subclasses MissingQuestionIdError and
     DuplicateQuestionIdError, each with line and column. Parsing is pure:
-    the same bytes always produce the same corpus value.
+    the same bytes always produce the same tuple of questions.
     """
     if data.startswith(_REJECTED_BOMS):
         raise MalformedXmlError("corpus files must be UTF-8", 1, 1)
@@ -225,7 +219,7 @@ def parse_corpus(data: bytes) -> QuestionCorpus:
     except expat.ExpatError as exc:
         raise MalformedXmlError(
             expat.errors.messages[exc.code], exc.lineno, exc.offset + 1) from exc
-    return QuestionCorpus(tuple(builder.questions))
+    return tuple(builder.questions)
 
 
 def extract_phrases(question: Question) -> list[MarkedPhrase]:
@@ -242,8 +236,8 @@ def extract_phrases(question: Question) -> list[MarkedPhrase]:
                 phrases.append(MarkedPhrase(
                     question.id, span.term, span.text, source, len(phrases)))
 
-    emit(question.text.spans, PhraseSource.QUESTION_TEXT)
+    emit(question.text, PhraseSource.QUESTION_TEXT)
     for answer in question.answers:
         if answer.kind is AnswerKind.TEXT:
-            emit(answer.body.spans, PhraseSource.ANSWER_TEXT)
+            emit(answer.body, PhraseSource.ANSWER_TEXT)
     return phrases

@@ -7,13 +7,13 @@ count m scores the sequences as m / (|A| + |B| - m). A phrase maps to the
 single best-scoring concept label at or above the sequence threshold.
 """
 
-from typing import NamedTuple
+from typing import AbstractSet, Mapping, NamedTuple
 
 from . import _scoring
 from ._scoring import LabelIndex
-from .corpus import MarkedPhrase, Question
+from .corpus import MarkedPhrase
 from .errors import EmptySequenceError
-from .textnorm import LemmaSequence, Lexicon, Stoplist, normalize_phrase
+from .textnorm import LemmaSequence, normalize_phrase
 
 
 class _MatchConfig(NamedTuple):
@@ -102,14 +102,13 @@ def _best_entry(index: LabelIndex, seq: LemmaSequence,
 
 
 def match_question(
-    question: Question,
     phrases: list[MarkedPhrase],
     index: LabelIndex,
-    lexicon: Lexicon,
-    stoplist: Stoplist,
+    lexicon: Mapping[str, str],
+    stoplist: AbstractSet[str],
     config: MatchConfig,
 ) -> list[ConceptMatch]:
-    """Match every phrase of one question, collapsing duplicate concepts.
+    """Match the phrases of one question, collapsing duplicate concepts.
 
     Phrases normalizing to an empty sequence are skipped without a match
     attempt. When several phrases hit the same concept only the highest

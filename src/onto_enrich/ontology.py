@@ -13,11 +13,11 @@ the full relation graph.
 """
 
 import re
-from typing import Callable, Iterable, NamedTuple
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
 
 from ._scoring import IndexEntry, LabelIndex
 from .errors import MalformedTripleError, SelfLoopEdgeError, UnterminatedLiteralError
-from .textnorm import Lexicon, Stoplist, decode_lines, normalize_phrase
+from .textnorm import decode_lines, normalize_phrase
 
 DEFAULT_HIERARCHICAL_PREDICATES = frozenset({"rdfs:subClassOf", "ome:hasChild"})
 DEFAULT_LABEL_PREDICATES = frozenset({"rdfs:label"})
@@ -28,16 +28,6 @@ class Literal(NamedTuple):
 
     text: str
     lang: str | None = None
-
-
-class Label(NamedTuple):
-    text: str
-    lang: str | None = None
-
-
-class Concept(NamedTuple):
-    iri: str
-    labels: tuple[Label, ...]
 
 
 class RelationEdge(NamedTuple):
@@ -182,16 +172,16 @@ def local_name(iri: str) -> str:
 class OntologyGraph:
     """Typed concept graph with a hierarchical predicate subset.
 
-    Two graphs are equal when their concepts, edges and hierarchical
-    predicates are. The adjacency of each edge filter is derived from the
-    edges once, on construction.
+    ``concepts`` maps each IRI to its label Literals. Two graphs are equal
+    when their concepts, edges and hierarchical predicates are. The adjacency
+    of each edge filter is derived from the edges once, on construction.
     """
 
     __slots__ = ("concepts", "edges", "hierarchical_predicates", "_adj_full", "_adj_hier")
 
     def __init__(
         self,
-        concepts: dict[str, Concept],
+        concepts: dict[str, tuple[Literal, ...]],
         edges: tuple[RelationEdge, ...],
         hierarchical_predicates: frozenset[str],
     ):
@@ -236,35 +226,29 @@ def build_graph(
     Concepts are all IRIs on either end of a relation triple plus subjects of
     literal triples. Labels come from label-predicate literals; a concept
     left without labels (none given, or all filtered out by ``label_lang``)
-    falls back to its IRI local name. Duplicate edges collapse; self-loops
-    raise SelfLoopEdgeError.
+    falls back to its IRI local name, as a Literal without a language tag.
+    Duplicate edges collapse; self-loops raise SelfLoopEdgeError.
     """
     label_preds = frozenset(label_predicates)
     iris: set[str] = set()
-    labels: dict[str, list[Label]] = {}
+    labels: dict[str, list[Literal]] = {}
     edge_set: set[tuple[str, str, str]] = set()
     for subject, predicate, obj in triples:
         iris.add(subject)
         if isinstance(obj, Literal):
-            if predicate in label_preds and obj.text:
-                lab = Label(obj.text, obj.lang)
+            if (predicate in label_preds and obj.text
+                    and (label_lang is None or obj.lang == label_lang)):
                 bucket = labels.setdefault(subject, [])
-                if lab not in bucket:
-                    bucket.append(lab)
+                if obj not in bucket:
+                    bucket.append(obj)
         else:
             if subject == obj:
                 raise SelfLoopEdgeError(f"self-loop on <{subject}> via <{predicate}>")
             iris.add(obj)
             edge_set.add((subject, predicate, obj))
 
-    concepts: dict[str, Concept] = {}
-    for iri in sorted(iris):
-        found = labels.get(iri, [])
-        if label_lang is not None:
-            found = [l for l in found if l.lang == label_lang]
-        if not found:
-            found = [Label(local_name(iri), None)]
-        concepts[iri] = Concept(iri, tuple(found))
+    concepts = {iri: tuple(labels.get(iri, ())) or (Literal(local_name(iri)),)
+                for iri in sorted(iris)}
 
     edges = tuple(RelationEdge(*e) for e in sorted(edge_set))
     return OntologyGraph(concepts, edges, frozenset(hierarchical_predicates))
@@ -272,8 +256,8 @@ def build_graph(
 
 def build_label_index(
     graph: OntologyGraph,
-    lexicon: Lexicon,
-    stoplist: Stoplist,
+    lexicon: Mapping[str, str],
+    stoplist: AbstractSet[str],
     on_warning: Callable[[str], None] | None = None,
 ) -> LabelIndex:
     """Normalize every concept label into a matchable entry.
@@ -284,7 +268,7 @@ def build_label_index(
     """
     entries: list[IndexEntry] = []
     for iri in sorted(graph.concepts):
-        texts = sorted({label.text for label in graph.concepts[iri].labels})
+        texts = sorted({label.text for label in graph.concepts[iri]})
         for text in texts:
             lemmas = normalize_phrase(text, lexicon, stoplist)
             if lemmas:

@@ -38,7 +38,7 @@ from .pathfinder import (  # noqa: F401
     compare_from,
     enumerate_pairs,
 )
-from .textnorm import DEFAULT_STOPLIST, Lexicon, load_lexicon, load_stoplist
+from .textnorm import DEFAULT_STOPLIST, load_lexicon, load_stoplist
 
 OUTPUT_FORMATS = ("json", "csv")
 
@@ -61,15 +61,21 @@ class RunConfig(_RunConfig):
     """Everything a run needs; echoed into the report for provenance.
 
     Construction, ``_make`` and ``_replace`` raise ValueError on a max_depth
-    below 1 or an unknown format.
+    that is not an int (a bool is not) or is below 1, on a bare str as
+    either predicate collection, and on an unknown format.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
+            raise ValueError(f"max_depth must be an integer, got {self.max_depth!r}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        for name in ("label_predicates", "hierarchical_predicates"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a collection of predicate IRIs, not a str")
         if self.format not in OUTPUT_FORMATS:
             raise ValueError(f"format must be one of {OUTPUT_FORMATS}, got {self.format!r}")
         return self
@@ -105,8 +111,8 @@ def _file_context(path: str):
 def run(config: RunConfig) -> Report:
     """Execute the whole pipeline and return the report."""
     with _file_context(config.corpus):
-        corpus = parse_corpus(Path(config.corpus).read_bytes())
-    lexicon = Lexicon()
+        questions = parse_corpus(Path(config.corpus).read_bytes())
+    lexicon = {}
     if config.lexicon:
         with _file_context(config.lexicon):
             lexicon = load_lexicon(Path(config.lexicon).read_bytes())
@@ -125,8 +131,8 @@ def run(config: RunConfig) -> Report:
     index = build_label_index(graph, lexicon, stoplist, on_warning=warnings.append)
 
     matches = [
-        match_question(q, extract_phrases(q), index, lexicon, stoplist, config.match)
-        for q in corpus.questions
+        match_question(extract_phrases(q), index, lexicon, stoplist, config.match)
+        for q in questions
     ]
 
     by_source: dict[str, dict[str, set[str]]] = {}

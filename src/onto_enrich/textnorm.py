@@ -5,11 +5,14 @@ alphanumeric tokens, case-fold, map each token through a lexicon (identity
 fallback for unknown surfaces), then drop stoplisted lemma forms. The result
 is a ``LemmaSequence`` — a tuple of lemma strings — which is what the matcher
 compares.
+
+``load_lexicon`` returns a ``dict`` and ``load_stoplist`` a ``frozenset``;
+``normalize_phrase`` takes any mapping and any set.
 """
 
 import codecs
 import re
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 from .errors import InvalidUtf8Error, MalformedLexiconLineError
 
@@ -21,80 +24,31 @@ LemmaSequence = tuple[str, ...]
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-class Lexicon:
-    """Surface-form to lemma dictionary with identity fallback.
-
-    Keys and values are case-folded at load time. ``normalize_phrase`` maps
-    a surface absent from the map to itself. ``Lexicon()`` is empty.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Mapping[str, str] | None = None):
-        self.entries = {} if entries is None else entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        return f"Lexicon(entries={self.entries!r})"
-
-
-class Stoplist:
-    """Set of case-folded lemma forms excluded from matching."""
-
-    __slots__ = ("forms",)
-
-    def __init__(self, forms: frozenset[str] = frozenset()):
-        self.forms = forms
-
-    def __contains__(self, form: str) -> bool:
-        return form in self.forms
-
-    def __len__(self) -> int:
-        return len(self.forms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.forms == other.forms
-
-    def __hash__(self):
-        return hash((self.forms,))
-
-    def __repr__(self):
-        return f"Stoplist(forms={self.forms!r})"
-
-
 # Small default stoplist: function words that would otherwise dominate
 # prepositional phrases. Deployments pass their own file to override.
-DEFAULT_STOPLIST = Stoplist(frozenset({
+DEFAULT_STOPLIST = frozenset({
     "a", "an", "the",
     "of", "to", "in", "on", "at", "by", "for", "with", "from",
     "up", "down", "over", "under", "after", "before", "between",
     "and", "or", "is", "are", "be",
-}))
+})
 
 
-def normalize_phrase(text: str, lexicon: Lexicon, stoplist: Stoplist) -> LemmaSequence:
+def normalize_phrase(
+    text: str, lexicon: Mapping[str, str], stoplist: AbstractSet[str]
+) -> LemmaSequence:
     """Tokenize, lemmatize, then drop stoplisted lemma forms.
 
     The stoplist applies to lemma forms (after lemmatization), so one entry
     covers a whole word family. May return an empty tuple when every token is
     stoplisted; callers exclude such sequences from matching.
     """
-    # the lookups are bound once: this runs for every phrase and every label
-    lemma = lexicon.entries.get
-    stop = stoplist.forms
+    # the lookup is bound once: this runs for every phrase and every label
+    lemma = lexicon.get
     return tuple(
         form
         for token in _TOKEN_RE.findall(text)
-        if (form := lemma(folded := token.casefold(), folded)) not in stop
+        if (form := lemma(folded := token.casefold(), folded)) not in stoplist
     )
 
 
@@ -117,10 +71,11 @@ def decode_lines(data: bytes) -> list[str]:
         ) from None
 
 
-def load_lexicon(data: bytes) -> Lexicon:
+def load_lexicon(data: bytes) -> dict[str, str]:
     """Parse a lexicon file: UTF-8 TSV, ``surface<TAB>lemma`` per line.
 
-    Blank lines and lines starting with ``#`` are skipped. Later duplicate
+    Returns a dict from case-folded surface to case-folded lemma. Blank
+    lines and lines starting with ``#`` are skipped. Later duplicate
     surfaces override earlier ones. Raises MalformedLexiconLineError with the
     1-based line number on anything else, InvalidUtf8Error on bytes that are
     not UTF-8.
@@ -139,17 +94,18 @@ def load_lexicon(data: bytes) -> Lexicon:
             raise MalformedLexiconLineError(
                 f"empty surface or lemma in {raw!r}", lineno)
         entries[surface.casefold()] = lemma.casefold()
-    return Lexicon(entries)
+    return entries
 
 
-def load_stoplist(data: bytes) -> Stoplist:
+def load_stoplist(data: bytes) -> frozenset[str]:
     """Parse a stoplist file: UTF-8, one form per line, ``#`` comments.
 
-    Raises InvalidUtf8Error on bytes that are not UTF-8.
+    Returns the frozenset of case-folded forms. Raises InvalidUtf8Error on
+    bytes that are not UTF-8.
     """
     forms = set()
     for raw in decode_lines(data):
         line = raw.strip()
         if line and not line.startswith("#"):
             forms.add(line.casefold())
-    return Stoplist(frozenset(forms))
+    return frozenset(forms)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+from typing import Mapping
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from onto_enrich.errors import EmptySequenceError, UnknownConceptError
 from onto_enrich.ontology import OntologyGraph
 from onto_enrich.pathfinder import DEFAULT_MAX_DEPTH, EdgeFilter, PathResult
 from onto_enrich.pipeline import Report
-from onto_enrich.textnorm import Lexicon
 
 INF = np.inf
 
@@ -89,9 +89,9 @@ def tokenize(text: str) -> list[str]:
     return [m.group().casefold() for m in re.finditer(r"[^\W_]+", text)]
 
 
-def lemma(lexicon: Lexicon, surface: str) -> str:
+def lemma(lexicon: Mapping[str, str], surface: str) -> str:
     """The lexicon's lemma for ``surface``, or ``surface`` itself if absent."""
-    return lexicon.entries.get(surface, surface)
+    return lexicon.get(surface, surface)
 
 
 def floyd_warshall(n_nodes: int, edges: list[tuple[int, int]]) -> np.ndarray:

@@ -1,12 +1,12 @@
 """A corpus writer that only the tests need.
 
 ``serialize_corpus`` writes the canonical XML that ``parse_corpus`` reads
-back to an equal corpus, so round-trip tests can start from values.
+back to equal questions, so round-trip tests can start from values.
 """
 
 from __future__ import annotations
 
-from onto_enrich.corpus import PhraseKind, QuestionCorpus, TextSpan
+from onto_enrich.corpus import PhraseKind, Question, TextSpan
 
 
 def _escape(text: str) -> str:
@@ -28,15 +28,15 @@ def _write_marked(spans: tuple[TextSpan, ...]) -> str:
     return "".join(out)
 
 
-def serialize_corpus(corpus: QuestionCorpus) -> bytes:
+def serialize_corpus(questions: tuple[Question, ...]) -> bytes:
     """Canonical UTF-8 serialization; parse_corpus round-trips it exactly."""
     lines = ['<?xml version="1.0" encoding="utf-8"?>', "<corpus>"]
-    for q in corpus.questions:
+    for q in questions:
         lines.append(f'  <question id="{_escape_attr(q.id)}">')
-        lines.append(f"    <text>{_write_marked(q.text.spans)}</text>")
+        lines.append(f"    <text>{_write_marked(q.text)}</text>")
         for a in q.answers:
             lines.append(
-                f'    <answer kind="{a.kind.value}">{_write_marked(a.body.spans)}</answer>')
+                f'    <answer kind="{a.kind.value}">{_write_marked(a.body)}</answer>')
         lines.append("  </question>")
     lines.append("</corpus>")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -168,14 +168,14 @@ EXPECTED_PHRASES = {
 
 @criterion(6, "corpus extraction matches hand-counted phrases, kinds, ordinals, exclusions")
 def test_criterion_6_corpus_extraction(repo_root):
-    corpus = parse_corpus((repo_root / "fixtures/corpus.xml").read_bytes())
-    assert [q.id for q in corpus.questions] == sorted(EXPECTED_PHRASES)
-    for question in corpus.questions:
+    questions = parse_corpus((repo_root / "fixtures/corpus.xml").read_bytes())
+    assert [q.id for q in questions] == sorted(EXPECTED_PHRASES)
+    for question in questions:
         got = [(p.ordinal, p.kind.value, p.source.value, p.raw)
                for p in extract_phrases(question)]
         assert got == EXPECTED_PHRASES[question.id], question.id
     # the numeric answer's TERM1 span ("five" in q04) must not surface
-    q04 = corpus.questions[3]
+    q04 = questions[3]
     assert sum(1 for a in q04.answers) == 2
     assert all("five" != p.raw for p in extract_phrases(q04))
 
@@ -186,16 +186,15 @@ def test_criterion_7_normalization(repo_root, fixture_lexicon, fixture_index,
     assert lemma(fixture_lexicon, "triangles") == "triangle"
 
     from onto_enrich import matcher as matcher_module
-    from onto_enrich.corpus import MarkedPhrase, MarkedText, Question, TextSpan
+    from onto_enrich.corpus import MarkedPhrase
     calls = []
     original = matcher_module.match_phrase
     monkeypatch.setattr(matcher_module, "match_phrase",
                         lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
     phrase = MarkedPhrase("q", PhraseKind.PP, "of the", PhraseSource.QUESTION_TEXT, 0)
-    question = Question("q", MarkedText((TextSpan(PhraseKind.PP, "of the"),)), ())
     # seq_threshold 0 would accept any attempted match, so an empty result
     # proves the stoplisted phrase was never scored at all
-    matches = match_question(question, [phrase], fixture_index,
-                             fixture_lexicon, fixture_stoplist, MatchConfig(0.75, 0.0))
+    matches = match_question([phrase], fixture_index, fixture_lexicon, fixture_stoplist,
+                             MatchConfig(0.75, 0.0))
     assert matches == []
     assert calls == []

@@ -1,8 +1,10 @@
-"""The scorer benchmark still reproduces its pinned checksum.
+"""The scorer and codec benchmarks still reproduce their pinned checksums.
 
 ``benchmarks/bench_matching.py`` prints a checksum of the matched pair
 counts that is fixed by its seed; a change to the scorer that alters any
-result changes it.
+result changes it. ``benchmarks/bench_io.py`` prints sha256 prefixes of the
+parsed triples' repr and of the JSON report bytes, so a change to the
+``Literal`` record or to either codec that alters its output changes them.
 """
 
 import os
@@ -10,13 +12,24 @@ import subprocess
 import sys
 
 
-def test_bench_matching_checksum(repo_root):
+def _run_benchmark(repo_root, script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, str(repo_root / "benchmarks/bench_matching.py")],
+        [sys.executable, str(repo_root / "benchmarks" / script), *args],
         cwd=repo_root, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert "(checksum 660150)" in result.stdout
-    assert "1000 index entries (20 distinct lemma rows)" in result.stdout
+    return result.stdout
+
+
+def test_bench_matching_checksum(repo_root):
+    stdout = _run_benchmark(repo_root, "bench_matching.py")
+    assert "(checksum 660150)" in stdout
+    assert "1000 index entries (20 distinct lemma rows)" in stdout
+
+
+def test_bench_io_checksums(repo_root):
+    stdout = _run_benchmark(repo_root, "bench_io.py", "--repeat", "1")
+    assert "(12496 triples, sha256 e24bef0ceecd98d9)" in stdout
+    assert "(4117076 bytes, sha256 52e39dff517a2606)" in stdout

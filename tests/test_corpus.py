@@ -22,9 +22,9 @@ from support import serialize_corpus
 
 
 def _single(xml: bytes):
-    corpus = parse_corpus(xml)
-    assert len(corpus.questions) == 1
-    return corpus.questions[0]
+    questions = parse_corpus(xml)
+    assert len(questions) == 1
+    return questions[0]
 
 
 class TestParseCorpus:
@@ -43,17 +43,16 @@ class TestParseCorpus:
         assert phrase.raw == "up to two characters after the dot"
 
     def test_empty_corpus(self):
-        corpus = parse_corpus(b"<corpus></corpus>")
-        assert corpus.questions == ()
+        assert parse_corpus(b"<corpus></corpus>") == ()
 
     def test_self_closing_empty_corpus(self):
-        assert parse_corpus(b"<corpus/>").questions == ()
+        assert parse_corpus(b"<corpus/>") == ()
 
     def test_document_order_preserved(self):
-        corpus = parse_corpus(
+        questions = parse_corpus(
             b'<corpus><question id="b"><text>x</text></question>'
             b'<question id="a"><text>y</text></question></corpus>')
-        assert [q.id for q in corpus.questions] == ["b", "a"]
+        assert [q.id for q in questions] == ["b", "a"]
 
     def test_parse_is_pure(self):
         xml = (b'<corpus><question id="q1"><text>A <TERM1>chord</TERM1>.</text>'
@@ -196,8 +195,7 @@ ALPHABET = "ab <>&\"'xт"
 
 
 def _random_corpus_xml(rng: random.Random) -> bytes:
-    from onto_enrich.corpus import (
-        Answer, MarkedText, Question, QuestionCorpus, TextSpan)
+    from onto_enrich.corpus import Answer, Question, TextSpan
 
     def random_spans():
         spans = []
@@ -220,10 +218,10 @@ def _random_corpus_xml(rng: random.Random) -> bytes:
         if not "".join(s.text for s in spans).strip():
             spans = spans + (TextSpan(PhraseKind.NP, "x"),)
         answers = tuple(
-            Answer(rng.choice(list(AnswerKind)), MarkedText(random_spans()))
+            Answer(rng.choice(list(AnswerKind)), random_spans())
             for _ in range(rng.randint(0, 2)))
-        questions.append(Question(f"q{i}", MarkedText(spans), answers))
-    return serialize_corpus(QuestionCorpus(tuple(questions)))
+        questions.append(Question(f"q{i}", spans, answers))
+    return serialize_corpus(tuple(questions))
 
 
 class TestRoundTrip:
@@ -234,29 +232,28 @@ class TestRoundTrip:
         xml = (b'<corpus><question id="q&amp;1">'
                b"<text>a &lt;b&gt; &amp; c <TERM1>x &amp; y</TERM1></text>"
                b"</question></corpus>")
-        corpus = parse_corpus(xml)
-        assert corpus.questions[0].id == "q&1"
-        assert "".join(s.text for s in corpus.questions[0].text.spans) == "a <b> & c x & y"
-        assert parse_corpus(serialize_corpus(corpus)) == corpus
+        questions = parse_corpus(xml)
+        assert questions[0].id == "q&1"
+        assert "".join(s.text for s in questions[0].text) == "a <b> & c x & y"
+        assert parse_corpus(serialize_corpus(questions)) == questions
 
     def test_randomized_round_trips(self):
         rng = random.Random(42)
         for _ in range(25):
             xml = _random_corpus_xml(rng)
-            corpus = parse_corpus(xml)
-            again = serialize_corpus(corpus)
+            questions = parse_corpus(xml)
+            again = serialize_corpus(questions)
             assert again == xml
-            assert parse_corpus(again) == corpus
+            assert parse_corpus(again) == questions
 
     def test_phrase_count_equals_term_occurrences(self):
         rng = random.Random(43)
         for _ in range(25):
             xml = _random_corpus_xml(rng)
-            corpus = parse_corpus(xml)
-            for q in corpus.questions:
-                expected = sum(1 for s in q.text.spans if s.term is not None)
+            for q in parse_corpus(xml):
+                expected = sum(1 for s in q.text if s.term is not None)
                 expected += sum(
-                    sum(1 for s in a.body.spans if s.term is not None)
+                    sum(1 for s in a.body if s.term is not None)
                     for a in q.answers if a.kind is AnswerKind.TEXT)
                 assert len(extract_phrases(q)) == expected
 
@@ -293,9 +290,9 @@ class TestArbitraryBytes:
     @example(b'<corpus><question><text>x</text></question></corpus>')
     def test_parse_or_name_a_position(self, data):
         try:
-            corpus = parse_corpus(data)
+            questions = parse_corpus(data)
         except OntoEnrichError as exc:
             assert exc.line >= 1 and exc.column >= 1
             assert f"(line {exc.line}, column {exc.column})" in str(exc)
         else:
-            assert all(q.id for q in corpus.questions)
+            assert all(q.id for q in questions)

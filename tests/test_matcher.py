@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from onto_enrich import _scoring
 from onto_enrich._scoring import IndexEntry, LabelIndex
-from onto_enrich.corpus import MarkedPhrase, MarkedText, PhraseKind, PhraseSource, Question
+from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import EmptySequenceError
 from onto_enrich.matcher import ConceptMatch, MatchConfig, match_phrase, match_question
-from onto_enrich.textnorm import Lexicon, Stoplist, normalize_phrase
+from onto_enrich.textnorm import normalize_phrase
 from oracles import char_jaccard, reference_counts, seq_similarity
 
 
@@ -222,24 +222,19 @@ class TestMatchQuestion:
     def test_fixture_question_pair(self, fixture_corpus, fixture_index,
                                    fixture_lexicon, fixture_stoplist):
         from onto_enrich.corpus import extract_phrases
-        q01 = fixture_corpus.questions[0]
-        matches = match_question(q01, extract_phrases(q01), fixture_index,
+        matches = match_question(extract_phrases(fixture_corpus[0]), fixture_index,
                                  fixture_lexicon, fixture_stoplist, self.CFG)
         assert [m.concept_iri for m in matches] == \
             ["c:Perpendicular", "c:TriangleMiddleLine"]
 
     def test_no_phrases(self, fixture_index, fixture_lexicon, fixture_stoplist):
-        from onto_enrich.corpus import MarkedText, Question, TextSpan
-        question = Question("q", MarkedText((TextSpan(None, "text"),)), ())
-        assert match_question(question, [], fixture_index,
+        assert match_question([], fixture_index,
                               fixture_lexicon, fixture_stoplist, self.CFG) == []
 
     def test_duplicate_concept_collapsed(self, fixture_index,
                                          fixture_lexicon, fixture_stoplist):
-        from onto_enrich.corpus import MarkedText, Question, TextSpan
-        question = Question("q", MarkedText((TextSpan(PhraseKind.NP, "square"),)), ())
         phrases = [_phrase("square", "q", 0), _phrase("squares", "q", 1)]
-        matches = match_question(question, phrases, fixture_index,
+        matches = match_question(phrases, fixture_index,
                                  fixture_lexicon, fixture_stoplist, self.CFG)
         assert len(matches) == 1
         assert matches[0].concept_iri == "c:Square"
@@ -248,13 +243,11 @@ class TestMatchQuestion:
     def test_stoplisted_phrase_not_attempted(self, fixture_index,
                                              fixture_lexicon, fixture_stoplist, monkeypatch):
         from onto_enrich import matcher as matcher_module
-        from onto_enrich.corpus import MarkedText, Question, TextSpan
         calls = []
         original = matcher_module.match_phrase
         monkeypatch.setattr(matcher_module, "match_phrase",
                             lambda *a, **k: calls.append(a) or original(*a, **k))
-        question = Question("q", MarkedText((TextSpan(PhraseKind.PP, "of the"),)), ())
-        matches = match_question(question, [_phrase("of the")], fixture_index,
+        matches = match_question([_phrase("of the")], fixture_index,
                                  fixture_lexicon, fixture_stoplist, MatchConfig(0.75, 0.0))
         assert matches == []
         assert calls == []
@@ -263,7 +256,7 @@ class TestMatchQuestion:
 # A question bank drawn from a small pool of phrases, so lemma sequences
 # repeat within and across questions; "of" is stoplisted, so the pool phrase
 # "of" normalizes to nothing and never reaches the scorer
-MEMO_STOPLIST = Stoplist(frozenset({"of"}))
+MEMO_STOPLIST = frozenset({"of"})
 phrase_pools = st.lists(
     st.one_of(st.just("of"), tie_sequences.map(" ".join),
               tie_sequences.map(lambda seq: "of " + " ".join(seq))),
@@ -272,14 +265,10 @@ banks = st.lists(st.lists(st.integers(0, 3), max_size=5), min_size=1, max_size=5
 
 
 def _questions(pool, bank):
-    """(question, phrases) pairs; phrase ``k`` of question ``i`` is pool entry
-    ``bank[i][k] % len(pool)``."""
-    questions = []
-    for i, picks in enumerate(bank):
-        qid = f"q{i}"
-        phrases = [_phrase(pool[p % len(pool)], qid, k) for k, p in enumerate(picks)]
-        questions.append((Question(qid, MarkedText(()), ()), phrases))
-    return questions
+    """The phrases of each question; phrase ``k`` of question ``i`` is pool
+    entry ``bank[i][k] % len(pool)``."""
+    return [[_phrase(pool[p % len(pool)], f"q{i}", k) for k, p in enumerate(picks)]
+            for i, picks in enumerate(bank)]
 
 
 def _oracle_question(phrases, entries, config):
@@ -287,7 +276,7 @@ def _oracle_question(phrases, entries, config):
     tie-break, then one match per concept (highest score, earliest phrase)."""
     by_concept = {}
     for phrase in phrases:
-        seq = normalize_phrase(phrase.raw, Lexicon(), MEMO_STOPLIST)
+        seq = normalize_phrase(phrase.raw, {}, MEMO_STOPLIST)
         if not seq:
             continue
         best = None
@@ -325,12 +314,11 @@ class TestMemo:
             # the second config runs between two passes of the first over
             # one shared index, so a result leaking across configs shows
             for config in (first, second, first):
-                for question, phrases in questions:
-                    got = match_question(question, phrases, index, Lexicon(),
-                                         MEMO_STOPLIST, config)
+                for phrases in questions:
+                    got = match_question(phrases, index, {}, MEMO_STOPLIST, config)
                     assert got == _oracle_question(phrases, index.entries, config)
-        seqs = {normalize_phrase(p.raw, Lexicon(), MEMO_STOPLIST)
-                for _, phrases in questions for p in phrases} - {()}
+        seqs = {normalize_phrase(p.raw, {}, MEMO_STOPLIST)
+                for phrases in questions for p in phrases} - {()}
         keys = {(seq, c.word_threshold, c.seq_threshold) for seq in seqs for c in (first, second)}
         assert all(idx is index for idx, _, _ in calls)
         assert len(calls) == (len(keys) if index.entries else 0)

@@ -22,11 +22,18 @@ from onto_enrich.ontology import (
     local_name,
     parse_triples,
 )
-from onto_enrich.textnorm import DEFAULT_STOPLIST, Lexicon, Stoplist, decode_lines
+from onto_enrich.textnorm import DEFAULT_STOPLIST, decode_lines
 
 
 def hierarchical_edges(graph):
     return tuple(e for e in graph.edges if e.predicate in graph.hierarchical_predicates)
+
+
+def literal_labels(graph, iri):
+    """The labels of ``iri``, checked to be a tuple of Literal records."""
+    labels = graph.concepts[iri]
+    assert type(labels) is tuple and all(type(l) is Literal for l in labels)
+    return labels
 
 
 class TestParseTriples:
@@ -252,7 +259,8 @@ class TestBuildGraph:
 
     def test_local_name_fallback(self):
         graph = build_graph([("c:RightAngle", "rdfs:subClassOf", "c:Angle")])
-        assert [l.text for l in graph.concepts["c:RightAngle"].labels] == ["RightAngle"]
+        assert literal_labels(graph, "c:RightAngle") == (Literal("RightAngle", None),)
+        assert literal_labels(graph, "c:Angle") == (Literal("Angle", None),)
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopEdgeError):
@@ -268,6 +276,7 @@ class TestBuildGraph:
     def test_label_only_subject_is_concept(self):
         graph = build_graph([("c:Lonely", "rdfs:label", Literal("Lonely one", "en"))])
         assert set(graph.concepts) == {"c:Lonely"}
+        assert literal_labels(graph, "c:Lonely") == (Literal("Lonely one", "en"),)
         assert graph.neighbors("c:Lonely", hierarchical_only=False) == ()
 
     def test_non_label_literal_registers_subject_only(self):
@@ -280,11 +289,26 @@ class TestBuildGraph:
             ("c:T", "rdfs:label", Literal("Triangle", "en")),
             ("c:T", "rdfs:label", Literal("Треугольник", "ru")),
         ]
+        assert literal_labels(build_graph(triples), "c:T") == tuple(l for _, _, l in triples)
         graph = build_graph(triples, label_lang="en")
-        assert [l.text for l in graph.concepts["c:T"].labels] == ["Triangle"]
+        assert literal_labels(graph, "c:T") == (Literal("Triangle", "en"),)
         # all labels filtered out: fall back to the local name
         graph_de = build_graph(triples, label_lang="de")
-        assert [l.text for l in graph_de.concepts["c:T"].labels] == ["T"]
+        assert literal_labels(graph_de, "c:T") == (Literal("T", None),)
+
+    def test_duplicate_labels_collapse_in_first_seen_order(self):
+        triples = [
+            ("c:T", "rdfs:label", Literal("Trigon", "en")),
+            ("c:T", "rdfs:label", Literal("Triangle", "en")),
+            ("c:T", "rdfs:label", Literal("Trigon", "en")),
+            ("c:T", "rdfs:label", Literal("Trigon", None)),
+            ("c:T", "rdfs:label", Literal("", "en")),
+            ("c:T", "c:comment", Literal("note", "en")),
+        ]
+        assert literal_labels(build_graph(triples), "c:T") == (
+            Literal("Trigon", "en"), Literal("Triangle", "en"), Literal("Trigon", None))
+        assert literal_labels(build_graph(triples, label_lang="en"), "c:T") == (
+            Literal("Trigon", "en"), Literal("Triangle", "en"))
 
     def test_deterministic(self):
         data = (b'<c:B> <rdfs:subClassOf> <c:A> .\n'
@@ -332,7 +356,7 @@ class TestBuildLabelIndex:
         graph = build_graph([("c:X", "rdfs:label", Literal("of the", None))])
         warnings = []
         index = build_label_index(
-            graph, Lexicon(), DEFAULT_STOPLIST, on_warning=warnings.append)
+            graph, {}, DEFAULT_STOPLIST, on_warning=warnings.append)
         assert index.entries == ()
         assert len(warnings) == 1 and "of the" in warnings[0]
 
@@ -341,7 +365,7 @@ class TestBuildLabelIndex:
         assert labels == ["Midline of a triangle", "Triangle middle line"]
 
     def test_empty_stoplist_keeps_everything(self, fixture_graph, fixture_lexicon):
-        index = build_label_index(fixture_graph, fixture_lexicon, Stoplist())
+        index = build_label_index(fixture_graph, fixture_lexicon, frozenset())
         by_pair = {(e.iri, e.label): e.lemmas for e in index.entries}
         assert by_pair[("c:Diagonal", "Diagonal of the polygon")] == \
             ("diagonal", "of", "the", "polygon")

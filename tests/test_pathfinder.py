@@ -214,22 +214,31 @@ class TestRandomGraphProperties:
                         assert record.full.length <= record.hierarchical.length
 
 
+def _edge_lists(n, predicates):
+    """Lists of (subject index, object index, predicate) edges over ``n``
+    nodes, never a self-loop, long enough to hold every ordered pair with
+    every predicate. A list shrinks edge by edge, towards low indexes and
+    the first predicate."""
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2), st.sampled_from(predicates))
+    return st.lists(edge.map(lambda e: (e[0], e[1] + (e[1] >= e[0]), e[2])),
+                    max_size=n * (n - 1) * len(predicates))
+
+
+def _graph(nodes, edges, hierarchical_predicates):
+    """Every node labelled, so isolated nodes stay in the graph."""
+    triples = [(iri, "rdfs:label", Literal(iri[2:], "en")) for iri in nodes]
+    triples += [(nodes[a], predicate, nodes[b]) for a, b, predicate in edges]
+    return build_graph(triples, hierarchical_predicates=hierarchical_predicates)
+
+
 @st.composite
 def typed_graphs(draw):
     """Random graph over n:00.. with hierarchical (p:hier) and cross (p:cross)
-    edges; a linked pair carries one of them or both, in either direction."""
+    edges; a linked pair carries one of them or both, in either direction or
+    both."""
     n = draw(st.integers(2, 12))
-    edge_prob = draw(st.floats(0.0, 1.0))
-    rng = draw(st.randoms(use_true_random=False))
-    nodes = [f"n:{i:02d}" for i in range(n)]
-    triples = [(iri, "rdfs:label", Literal(iri[2:], "en")) for iri in nodes]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                for predicate in rng.choice([("p:hier",), ("p:cross",), ("p:hier", "p:cross")]):
-                    pair = (nodes[i], nodes[j]) if rng.random() < 0.5 else (nodes[j], nodes[i])
-                    triples.append((pair[0], predicate, pair[1]))
-    return build_graph(triples, hierarchical_predicates={"p:hier"})
+    edges = draw(_edge_lists(n, ("p:hier", "p:cross")))
+    return _graph([f"n:{i:02d}" for i in range(n)], edges, {"p:hier"})
 
 
 @st.composite
@@ -249,16 +258,8 @@ def multigraphs(draw):
     carry any non-empty set of three predicates, two of them hierarchical,
     each edge in either direction or both."""
     n = draw(st.integers(2, 7))
-    rng = draw(st.randoms(use_true_random=False))
-    edge_prob = draw(st.floats(0.0, 1.0))
-    nodes = [f"n:{i}" for i in range(n)]
-    triples = [(iri, "rdfs:label", Literal(iri[2:], "en")) for iri in nodes]
-    for a, b in itertools.combinations(nodes, 2):
-        if rng.random() < edge_prob:
-            for predicate in rng.sample(["p:sub", "p:hier", "p:cross"], rng.randint(1, 3)):
-                for subject, obj in rng.choice([[(a, b)], [(b, a)], [(a, b), (b, a)]]):
-                    triples.append((subject, predicate, obj))
-    graph = build_graph(triples, hierarchical_predicates={"p:sub", "p:hier"})
+    edges = draw(_edge_lists(n, ("p:sub", "p:hier", "p:cross")))
+    graph = _graph([f"n:{i}" for i in range(n)], edges, {"p:sub", "p:hier"})
     return graph, draw(st.integers(1, n))
 
 

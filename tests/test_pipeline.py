@@ -309,3 +309,7 @@ def test_public_api_is_explicit():
     # the scoring and tokenizing specs live in tests/oracles.py, not the package
     assert not [name for name in ("char_jaccard", "seq_similarity", "tokenize")
                 if hasattr(onto_enrich, name)]
+    # plain values replaced these wrappers: dict, frozenset, tuples and Literal
+    gone = ("Lexicon", "Stoplist", "QuestionCorpus", "MarkedText", "Concept", "Label")
+    assert not [name for name in gone if hasattr(onto_enrich, name)]
+    assert not set(gone) & set(onto_enrich.__all__)

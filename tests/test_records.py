@@ -9,10 +9,9 @@ import pytest
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import InternalInvariantError
 from onto_enrich.matcher import ConceptMatch, MatchConfig
-from onto_enrich.ontology import Concept, Label, Literal, OntologyGraph, RelationEdge
+from onto_enrich.ontology import Literal, OntologyGraph, RelationEdge
 from onto_enrich.pathfinder import ConnectionRecord, PathResult
 from onto_enrich.pipeline import Report, RunConfig, _check_report
-from onto_enrich.textnorm import Lexicon, Stoplist
 
 PHRASE = MarkedPhrase("q1", PhraseKind.NP, "right angle", PhraseSource.QUESTION_TEXT, 0)
 PATH = PathResult(1, ("c:A", "c:B"), ("rdfs:subClassOf",))
@@ -20,9 +19,6 @@ RECORD = ConnectionRecord("c:A", "c:B", PATH, PATH, False, ("q1",))
 
 RECORDS = [
     (Literal("square", "en"), "Literal(text='square', lang='en')"),
-    (Label("square"), "Label(text='square', lang=None)"),
-    (Concept("c:Square", (Label("square", "en"),)),
-     "Concept(iri='c:Square', labels=(Label(text='square', lang='en'),))"),
     (RelationEdge("c:A", "rdfs:subClassOf", "c:B"),
      "RelationEdge(subject='c:A', predicate='rdfs:subClassOf', object='c:B')"),
     (PHRASE,
@@ -77,7 +73,7 @@ def test_attribute_assignment_is_rejected(record):
 
 def test_invariant_message_embeds_the_repr():
     graph = OntologyGraph(
-        {"c:A": Concept("c:A", ()), "c:B": Concept("c:B", ())},
+        {"c:A": (), "c:B": ()},
         (RelationEdge("c:A", "rdfs:subClassOf", "c:B"),),
         frozenset({"rdfs:subClassOf"}),
     )
@@ -110,6 +106,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value,message", [
         ("max_depth", 0, "max_depth must be >= 1"),
+        ("max_depth", 2.5, "max_depth must be an integer, got 2.5"),
+        ("max_depth", "3", "max_depth must be an integer, got '3'"),
+        ("max_depth", True, "max_depth must be an integer, got True"),
+        ("label_predicates", "rdfs:label",
+         "label_predicates must be a collection of predicate IRIs, not a str"),
+        ("hierarchical_predicates", "rdfs:subClassOf",
+         "hierarchical_predicates must be a collection of predicate IRIs, not a str"),
         ("format", "xml", "format must be one of ('json', 'csv'), got 'xml'"),
     ])
     def test_run_config(self, field, value, message):
@@ -131,30 +134,17 @@ class TestConfigValidation:
 
 
 class TestSlotClasses:
-    """``OntologyGraph``, ``Lexicon`` and ``Stoplist`` compare by value."""
+    """``OntologyGraph`` compares by value."""
 
     def test_graph(self):
-        args = ({"c:A": Concept("c:A", ()), "c:B": Concept("c:B", ())},
+        args = ({"c:A": (Literal("a", "en"),), "c:B": ()},
                 (RelationEdge("c:A", "p", "c:B"),), frozenset({"p"}))
         graph = OntologyGraph(*args)
         assert graph == OntologyGraph(*args)
         assert graph != OntologyGraph(args[0], (), args[2])
         assert repr(graph) == (
-            "OntologyGraph(concepts={'c:A': Concept(iri='c:A', labels=()), "
-            "'c:B': Concept(iri='c:B', labels=())}, "
+            "OntologyGraph(concepts={'c:A': (Literal(text='a', lang='en'),), 'c:B': ()}, "
             "edges=(RelationEdge(subject='c:A', predicate='p', object='c:B'),), "
             "hierarchical_predicates=frozenset({'p'}))")
         with pytest.raises(TypeError):
             hash(graph)
-
-    def test_lexicon(self):
-        assert Lexicon({"cats": "cat"}) == Lexicon({"cats": "cat"})
-        assert Lexicon() != Lexicon({"cats": "cat"})
-        assert repr(Lexicon({"cats": "cat"})) == "Lexicon(entries={'cats': 'cat'})"
-        assert Lexicon().entries is not Lexicon().entries
-
-    def test_stoplist(self):
-        assert Stoplist(frozenset({"of"})) == Stoplist(frozenset({"of"}))
-        assert Stoplist() != Stoplist(frozenset({"of"}))
-        assert hash(Stoplist(frozenset({"of"}))) == hash(Stoplist(frozenset({"of"})))
-        assert repr(Stoplist(frozenset({"of"}))) == "Stoplist(forms=frozenset({'of'}))"

@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,6 @@ from hypothesis import strategies as st
 from onto_enrich.errors import InvalidUtf8Error, MalformedLexiconLineError, OntoEnrichError
 from onto_enrich.textnorm import (
     DEFAULT_STOPLIST,
-    Lexicon,
-    Stoplist,
     load_lexicon,
     load_stoplist,
     normalize_phrase,
@@ -41,11 +40,11 @@ class TestTokenize:
 
 class TestLemmatize:
     def test_lexicon_hit(self):
-        lex = Lexicon({"triangles": "triangle"})
+        lex = {"triangles": "triangle"}
         assert lemma(lex, "triangles") == "triangle"
 
     def test_identity_fallback(self):
-        assert lemma(Lexicon(), "triangle") == "triangle"
+        assert lemma({}, "triangle") == "triangle"
 
     def test_fixture_entry(self, fixture_lexicon):
         assert lemma(fixture_lexicon, "axes") == "axis"
@@ -53,28 +52,37 @@ class TestLemmatize:
 
 class TestNormalizePhrase:
     def test_pp_example(self):
-        lex = Lexicon({"characters": "character"})
-        stop = Stoplist(frozenset({"up", "to", "the", "after"}))
+        lex = {"characters": "character"}
+        stop = frozenset({"up", "to", "the", "after"})
         assert normalize_phrase("up to two characters after the dot", lex, stop) == \
             ("two", "character", "dot")
 
     def test_fully_stoplisted(self):
-        assert normalize_phrase("of of of", Lexicon(), Stoplist(frozenset({"of"}))) == ()
+        assert normalize_phrase("of of of", {}, frozenset({"of"})) == ()
 
     def test_plural_phrase(self):
-        lex = Lexicon({"lines": "line"})
-        assert normalize_phrase("middle lines", lex, Stoplist()) == ("middle", "line")
+        lex = {"lines": "line"}
+        assert normalize_phrase("middle lines", lex, frozenset()) == ("middle", "line")
 
     def test_stoplist_applies_to_lemma_form(self):
         # surface "ofs" maps to stoplisted lemma "of": dropped after lemmatization
-        lex = Lexicon({"ofs": "of"})
-        stop = Stoplist(frozenset({"of"}))
+        lex = {"ofs": "of"}
+        stop = frozenset({"of"})
         assert normalize_phrase("ofs line", lex, stop) == ("line",)
+
+    def test_any_mapping_and_any_set(self):
+        text = "Up to two characters after the dot"
+        lex = {"characters": "character", "dot": "point"}
+        stop = {"up", "to", "the", "after"}
+        expected = normalize_phrase(text, lex, frozenset(stop))
+        assert expected == ("two", "character", "point")
+        assert normalize_phrase(text, types.MappingProxyType(lex), stop) == expected
 
 
 class TestLoadLexicon:
     def test_single_entry(self):
         lex = load_lexicon(b"Triangles\ttriangle\n")
+        assert type(lex) is dict and lex == {"triangles": "triangle"}
         assert lemma(lex, "triangles") == "triangle"
 
     def test_empty_file(self):
@@ -105,8 +113,7 @@ class TestLoadLexicon:
         assert (exc.value.line, exc.value.column) == (2, 6)
 
     def test_byte_order_mark_dropped(self):
-        lexicon = load_lexicon(b"\xef\xbb\xbfcats\tcat\n")
-        assert lexicon.entries == {"cats": "cat"}
+        assert load_lexicon(b"\xef\xbb\xbfcats\tcat\n") == {"cats": "cat"}
 
     def test_byte_order_mark_not_counted_as_a_column(self):
         with pytest.raises(InvalidUtf8Error) as exc:
@@ -117,8 +124,7 @@ class TestLoadLexicon:
 class TestLoadStoplist:
     def test_basic(self):
         stop = load_stoplist(b"The\nof\n# comment\n\n")
-        assert "the" in stop and "of" in stop
-        assert len(stop) == 2
+        assert type(stop) is frozenset and stop == {"the", "of"}
 
     def test_non_utf8_named_with_line_and_column(self):
         with pytest.raises(InvalidUtf8Error) as exc:
@@ -127,11 +133,12 @@ class TestLoadStoplist:
         assert "0x80" in str(exc.value)
 
     def test_byte_order_mark_dropped(self):
-        assert load_stoplist(b"\xef\xbb\xbfof\nthe\n").forms == {"of", "the"}
+        assert load_stoplist(b"\xef\xbb\xbfof\nthe\n") == {"of", "the"}
         # only one mark is dropped; a second is text
-        assert load_stoplist(b"\xef\xbb\xbf\xef\xbb\xbfof\n").forms == {"\ufeffof"}
+        assert load_stoplist(b"\xef\xbb\xbf\xef\xbb\xbfof\n") == {"\ufeffof"}
 
     def test_default_covers_pp_prepositions(self):
+        assert type(DEFAULT_STOPLIST) is frozenset
         for word in ("up", "to", "the", "after", "of"):
             assert word in DEFAULT_STOPLIST
 
@@ -146,7 +153,7 @@ def _random_phrase(rng):
 class TestProperties:
     def test_tokenize_idempotent_on_lemmas(self):
         rng = random.Random(7)
-        lex = Lexicon({"triangles": "triangle", "lines": "line"})
+        lex = {"triangles": "triangle", "lines": "line"}
         for _ in range(200):
             seq = normalize_phrase(_random_phrase(rng), lex, DEFAULT_STOPLIST)
             for lemma in seq:
@@ -156,11 +163,11 @@ class TestProperties:
         rng = random.Random(11)
         for _ in range(200):
             text = _random_phrase(rng)
-            assert len(normalize_phrase(text, Lexicon(), DEFAULT_STOPLIST)) <= len(tokenize(text))
+            assert len(normalize_phrase(text, {}, DEFAULT_STOPLIST)) <= len(tokenize(text))
 
     def test_case_insensitive(self):
         rng = random.Random(13)
-        lex = Lexicon({"triangles": "triangle"})
+        lex = {"triangles": "triangle"}
         for _ in range(200):
             text = _random_phrase(rng)
             assert normalize_phrase(text.upper(), lex, DEFAULT_STOPLIST) == \
@@ -172,13 +179,12 @@ class TestProperties:
                            st.text("ab", min_size=1, max_size=2)),
            st.frozensets(st.text("ab", min_size=1, max_size=2)))
     def test_normalize_is_tokenize_then_lemma_then_stoplist(self, text, entries, forms):
-        lex, stop = Lexicon(entries), Stoplist(forms)
-        expected = tuple(form for form in (lemma(lex, token) for token in tokenize(text))
-                         if form not in stop)
-        assert normalize_phrase(text, lex, stop) == expected
+        expected = tuple(form for form in (lemma(entries, token) for token in tokenize(text))
+                         if form not in forms)
+        assert normalize_phrase(text, entries, forms) == expected
 
     def test_lemmatize_total_and_deterministic(self):
-        lex = Lexicon({"a": "b"})
+        lex = {"a": "b"}
         for token in WORDS:
             first = lemma(lex, token)
             assert first == lemma(lex, token)
@@ -212,7 +218,7 @@ class TestArbitraryBytes:
         except OntoEnrichError as exc:
             _assert_names_a_line(exc)
         else:
-            assert all(surface and lemma for surface, lemma in lexicon.entries.items())
+            assert all(surface and lemma for surface, lemma in lexicon.items())
 
     @settings(max_examples=300, deadline=None)
     @given(_TEXT_BYTES)
@@ -222,4 +228,4 @@ class TestArbitraryBytes:
         except OntoEnrichError as exc:
             _assert_names_a_line(exc)
         else:
-            assert all(form and not form.startswith("#") for form in stoplist.forms)
+            assert all(form and not form.startswith("#") for form in stoplist)
