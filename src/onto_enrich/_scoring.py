@@ -39,10 +39,14 @@ class LabelIndex:
     ``s`` distinct characters. ``rank`` orders the entries by (lemma count,
     iri, label), the tie-break between equally scored labels.
 
-    Two memos live as long as the index, which is one run. ``pairable`` maps
-    (lemma, word_threshold) to the character Jaccard of every row lemma that
-    clears the threshold, and to the entries holding one. ``memo`` is filled
-    by ``matcher.match_phrase``: it maps (lemma sequence, word_threshold,
+    The packed tables never change after construction, so one index can
+    outlive a run and serve many: ``pipeline.run`` keeps the last one it
+    built. The two memos cannot outlive a run: they hold its work and grow
+    with it. ``for_run`` gives each run a view that shares the tables and
+    has empty memos of its own. ``pairable`` maps (lemma, word_threshold)
+    to the character Jaccard of every row lemma that clears the threshold,
+    and to the entries holding one. ``memo`` is filled by
+    ``matcher.match_phrase``: it maps (lemma sequence, word_threshold,
     seq_threshold) to the winning entry's position and score, or None when
     no label clears the threshold.
     """
@@ -72,6 +76,12 @@ class LabelIndex:
             self.rank[j] = position
         self.pairable: dict[tuple[str, float], tuple[dict[str, float], set[int]]] = {}
         self.memo: dict[tuple[LemmaSequence, float, float], tuple[int, float] | None] = {}
+
+    def for_run(self) -> "LabelIndex":
+        """This index with empty memos of its own; the tables are shared."""
+        view = object.__new__(LabelIndex)
+        view.__dict__.update(self.__dict__, pairable={}, memo={})
+        return view
 
     def __len__(self) -> int:
         return len(self.entries)

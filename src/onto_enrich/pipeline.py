@@ -6,15 +6,23 @@ hierarchical against full shortest paths for every unique pair (one search
 per source concept and edge filter), aggregate question ids, and emit a
 deterministically ordered report. Every stage runs once, in order, in the
 calling thread.
+
+The graph and label index are kept from the last run whose ontology load
+succeeded, and reused while every input they depend on is equal, by
+content: see ``_load_ontology``.
 """
 
 import csv
 import io
 import math
 from contextlib import contextmanager
-from json.encoder import encode_basestring  # json's string escaper, in C
 from pathlib import Path
 from typing import NamedTuple
+
+try:  # json's string escaper, in C, without importing the json package
+    from _json import encode_basestring
+except ImportError:
+    from json.encoder import py_encode_basestring as encode_basestring
 
 from . import __version__
 from .corpus import extract_phrases, parse_corpus
@@ -120,15 +128,8 @@ def run(config: RunConfig) -> Report:
     if config.stoplist:
         with _file_context(config.stoplist):
             stoplist = load_stoplist(Path(config.stoplist).read_bytes())
-    with _file_context(config.ontology):
-        graph = build_graph(
-            parse_triples(Path(config.ontology).read_bytes()),
-            hierarchical_predicates=config.hierarchical_predicates,
-            label_predicates=config.label_predicates,
-            label_lang=config.label_lang,
-        )
-    warnings: list[str] = []
-    index = build_label_index(graph, lexicon, stoplist, on_warning=warnings.append)
+    graph, index, warnings = _load_ontology(config, lexicon, stoplist)
+    index = index.for_run()  # the memos live one run; the shared tables do not change
 
     matches = [
         match_question(extract_phrases(q), index, lexicon, stoplist, config.match)
@@ -154,10 +155,48 @@ def run(config: RunConfig) -> Report:
         config=config,
         records=tuple(records),
         matches=tuple(match_log),
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
     _check_report(report, graph)
     return report
+
+
+# The last successful ontology load: (key, graph, label index, index
+# warnings). A run reads it once and replaces it whole by one assignment,
+# so concurrent runs need no lock. One slot, so a caller that alternates
+# ontologies rebuilds each time and memory never grows.
+_loaded = None
+
+
+def _load_ontology(config: RunConfig, lexicon, stoplist):
+    """The graph, label index and index warnings of this run's inputs.
+
+    Reused from ``_loaded`` when its key equals this run's: the ontology
+    bytes, the parsed lexicon and stoplist, both predicate collections and
+    label_lang, all compared by value, never by path or mtime. Otherwise
+    built and kept; a load that raises leaves ``_loaded`` as it was.
+    """
+    global _loaded
+    # copies: a list in the config could change after the key is kept
+    label_predicates = tuple(config.label_predicates)
+    hierarchical_predicates = tuple(config.hierarchical_predicates)
+    with _file_context(config.ontology):
+        data = Path(config.ontology).read_bytes()
+        key = (data, lexicon, stoplist, label_predicates, hierarchical_predicates,
+               config.label_lang)
+        loaded = _loaded
+        if loaded is not None and loaded[0] == key:
+            return loaded[1:]
+        graph = build_graph(
+            parse_triples(data),
+            hierarchical_predicates=hierarchical_predicates,
+            label_predicates=label_predicates,
+            label_lang=config.label_lang,
+        )
+    warnings: list[str] = []
+    index = build_label_index(graph, lexicon, stoplist, on_warning=warnings.append)
+    _loaded = (key, graph, index, tuple(warnings))
+    return _loaded[1:]
 
 
 def _compare_all(graph, by_source, max_depth):

@@ -341,6 +341,20 @@ class TestMemo:
         # a lower sequence threshold is another key, scored afresh
         assert match_phrase(_phrase("z"), ("z",), index, MatchConfig(1.0, 0.0)).score == 0.0
 
+    def test_run_view_shares_tables_not_memos(self):
+        index = _index(("c:A", "a b", ("a", "b")), ("c:B", "c", ("c",)))
+        cfg = MatchConfig(1.0, 0.5)
+        match_phrase(_phrase("a"), ("a",), index, cfg)
+        view = index.for_run()
+        assert (view.pairable, view.memo) == ({}, {})
+        assert index.memo and index.pairable
+        assert all(getattr(view, name) is getattr(index, name)
+                   for name in ("entries", "rows", "row_chars", "row_entries",
+                                "char_rows", "size_rows", "rank"))
+        match_phrase(_phrase("c"), ("c",), view, cfg)
+        assert set(view.memo) == {(("c",), 1.0, 0.5)}
+        assert set(index.memo) == {(("a",), 1.0, 0.5)}
+
 
 WORD_ALPHABET = "abcdefgzхо"
 

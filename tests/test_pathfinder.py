@@ -253,6 +253,20 @@ def queries(draw):
 
 
 @st.composite
+def pair_banks(draw):
+    """(graph, max_depth, inserted): a typed graph and some of its node
+    pairs, each once with one or two question ids, pairs and ids in the
+    order a caller inserts them. Subsets and orders are drawn as lists, so
+    a failure shrinks pair by pair."""
+    graph = draw(typed_graphs())
+    nodes = sorted(graph.concepts)
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(nodes, 2))), unique=True))
+    ids = st.lists(st.sampled_from(("q0", "q1", "q2")), min_size=1, max_size=2, unique=True)
+    ids_per_pair = draw(st.lists(ids, min_size=len(pairs), max_size=len(pairs)))
+    return graph, draw(st.integers(1, len(nodes))), list(zip(pairs, ids_per_pair))
+
+
+@st.composite
 def multigraphs(draw):
     """(graph, max_depth): a random multigraph over n:0.. whose linked pairs
     carry any non-empty set of three predicates, two of them hierarchical,
@@ -362,19 +376,13 @@ class TestCompareFrom:
                         graph, src, record.concept_b, edge_filter, max_depth)
 
     @PROPERTY_SETTINGS
-    @given(queries(), st.randoms(use_true_random=False))
-    def test_compare_all_orders_pairs_and_question_ids(self, query, rng):
-        graph, _, _, max_depth = query
-        nodes = sorted(graph.concepts)
-        pair_questions = {
-            pair: {f"q{rng.randrange(3)}", f"q{rng.randrange(3)}"}
-            for pair in itertools.combinations(nodes, 2)
-            if rng.random() < 0.5
-        }
+    @given(pair_banks())
+    def test_compare_all_orders_pairs_and_question_ids(self, bank):
+        graph, max_depth, inserted = bank
         by_source = {}
-        for (a, b), ids in rng.sample(sorted(pair_questions.items()), len(pair_questions)):
+        for (a, b), ids in inserted:
             by_source.setdefault(a, {})[b] = ids
+        expected = sorted(inserted, key=lambda item: item[0])
         records = _compare_all(graph, by_source, max_depth)
-        assert [(r.concept_a, r.concept_b) for r in records] == sorted(pair_questions)
-        assert [r.question_ids for r in records] == [
-            tuple(sorted(pair_questions[pair])) for pair in sorted(pair_questions)]
+        assert [(r.concept_a, r.concept_b) for r in records] == [pair for pair, _ in expected]
+        assert [r.question_ids for r in records] == [tuple(sorted(ids)) for _, ids in expected]

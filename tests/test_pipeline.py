@@ -1,12 +1,25 @@
 import json
 import math
+import shutil
+import sys
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from onto_enrich import matcher, pipeline
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
-from onto_enrich.errors import InternalInvariantError, InvalidUtf8Error
+from onto_enrich.errors import (
+    InternalInvariantError,
+    InvalidUtf8Error,
+    MalformedTripleError,
+    SelfLoopEdgeError,
+)
 from onto_enrich.matcher import ConceptMatch, MatchConfig
 from onto_enrich.pathfinder import ConnectionRecord, PathResult
 from onto_enrich.pipeline import (
@@ -136,11 +149,21 @@ class TestRun:
         assert record.hierarchical is None and record.full is None
         assert record.optimal is False
 
-    @pytest.mark.parametrize("field", ["ontology", "lexicon", "stoplist"])
-    def test_non_utf8_input_names_file_and_line(self, in_repo_root, tmp_path, field):
+    @pytest.mark.parametrize("field, missing", [
+        pytest.param("ontology", None, id="ontology"),
+        pytest.param("lexicon", None, id="lexicon"),
+        pytest.param("stoplist", None, id="stoplist"),
+        # the lexicon and stoplist are read first: the missing ontology
+        # behind them is never reached
+        pytest.param("lexicon", "ontology", id="lexicon-before-missing-ontology"),
+        pytest.param("stoplist", "ontology", id="stoplist-before-missing-ontology"),
+    ])
+    def test_non_utf8_input_names_file_and_line(self, in_repo_root, tmp_path, field, missing):
         bad = tmp_path / f"bad-{field}"
         bad.write_bytes(b"# fine\n# caf\xe9\n")
         config = FIXTURE_CONFIG._replace(**{field: str(bad)})
+        if missing:
+            config = config._replace(**{missing: str(tmp_path / "missing")})
         with pytest.raises(InvalidUtf8Error) as exc:
             run(config)
         assert str(exc.value) == f"{bad}: invalid UTF-8 byte 0xe9 (line 2, column 6)"
@@ -149,6 +172,193 @@ class TestRun:
         config = FIXTURE_CONFIG._replace(corpus="fixtures/nope.xml")
         with pytest.raises(OSError):
             run(config)
+
+
+@pytest.fixture()
+def golden(repo_root):
+    return (repo_root / "tests/golden/fixture_report.json").read_bytes()
+
+
+@pytest.fixture()
+def fixture_copy(repo_root, tmp_path, monkeypatch):
+    """A copy of fixtures/ under a new working directory, free to rewrite;
+    FIXTURE_CONFIG names its files. The loaded ontology slot starts empty."""
+    shutil.copytree(repo_root / "fixtures", tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pipeline, "_loaded", None)
+
+
+@contextmanager
+def _counting_scores():
+    """Count the lemma sequences scored by each thread, in a Counter by
+    thread id; a sequence answered from a memo is not counted."""
+    counts = Counter()
+    best_entry = matcher._best_entry
+
+    def counted(*args):
+        counts[threading.get_ident()] += 1
+        return best_entry(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matcher, "_best_entry", counted)
+        yield counts
+
+
+def _report(config):
+    """The run's JSON report and the number of sequences it scored."""
+    with _counting_scores() as counts:
+        payload = serialize_report(run(config), "json")
+    return payload, counts[threading.get_ident()]
+
+
+_RULER_LABEL = '<c:Square> <rdfs:label> "ruler"@en .\n'
+_REUSE_CONFIG = FIXTURE_CONFIG._replace(stoplist="fixtures/stoplist.txt")
+_FILES = {"ontology": "ontology.nt", "lexicon": "lexicon.tsv", "stoplist": "stoplist.txt"}
+_CONCEPTS = ("c:Square", "c:Rhombus", "c:RightAngle", "c:Perpendicular",
+             "c:TriangleMiddleLine", "c:Diameter", "c:Circle", "c:Line")
+_WORDS = ("ruler", "compass", "dodecahedron", "five", "middle", "lines", "angles", "center")
+_PREDICATES = ("rdfs:label", "rdfs:subClassOf", "ome:hasChild", "ome:relatedTo", "ome:partOf")
+
+
+@st.composite
+def _variants(draw):
+    """(field, value): one input of the slot's key changed from the fixture
+    run's. A file's value is a line appended to it, a config field's value
+    replaces it."""
+    field = draw(st.sampled_from(
+        ("ontology", "lexicon", "stoplist", "label_predicates", "hierarchical_predicates",
+         "label_lang")))
+    if field == "ontology":
+        a, b = draw(st.lists(st.sampled_from(_CONCEPTS), min_size=2, max_size=2, unique=True))
+        edge = st.sampled_from(_PREDICATES[1:]).map(lambda p: f"<{a}> <{p}> <{b}> .\n")
+        label = st.sampled_from(_WORDS).map(lambda w: f'<{a}> <rdfs:label> "{w}"@en .\n')
+        return field, draw(edge | label)
+    if field == "lexicon":
+        return field, draw(st.sampled_from(_WORDS)) + "\t" + draw(st.sampled_from(_WORDS)) + "\n"
+    if field == "stoplist":
+        return field, draw(st.sampled_from(_WORDS)) + "\n"
+    if field == "label_lang":
+        return field, draw(st.sampled_from(("en", "ru", "de")))
+    return field, draw(st.lists(st.sampled_from(_PREDICATES), unique=True, max_size=3)
+                       .map(tuple).filter(lambda v: v != getattr(_REUSE_CONFIG, field)))
+
+
+def _inputs(repo_root, variant):
+    """The fixture's files and config with ``variant`` applied, if any."""
+    files = {name: (repo_root / "fixtures" / name).read_bytes() for name in _FILES.values()}
+    config = _REUSE_CONFIG
+    if variant is not None:
+        field, value = variant
+        if field in _FILES:
+            files[_FILES[field]] += value.encode()
+        else:
+            config = config._replace(**{field: value})
+    return files, config
+
+
+def _write(files):
+    for name, data in files.items():
+        Path("fixtures", name).write_bytes(data)
+
+
+class TestOntologyReuse:
+    """run() keeps the last loaded ontology and reuses it while the key's
+    inputs are equal; its reports must not tell a reuse from a fresh load."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_variants())
+    @example(("ontology", _RULER_LABEL))
+    @example(("lexicon", "ruler\tsquare\n"))
+    def test_alternating_inputs_report_as_fresh_runs(self, repo_root, fixture_copy, variant):
+        # A, then B, then A, at the same paths, each run twice: every report,
+        # and the number of sequences each run scores, is that of a run made
+        # with the slot emptied
+        states = [_inputs(repo_root, None), _inputs(repo_root, variant)]
+        fresh = []
+        for files, config in states:
+            _write(files)
+            pipeline._loaded = None
+            fresh.append(_report(config))
+        pipeline._loaded = None
+        for which in (0, 1, 0):
+            files, config = states[which]
+            _write(files)
+            assert _report(config) == fresh[which]
+            assert _report(config) == fresh[which]
+
+    def test_ontology_rewritten_in_place_is_read_again(self, fixture_copy, golden):
+        ontology = Path("fixtures/ontology.nt")
+        original = ontology.read_bytes()
+        assert _report(FIXTURE_CONFIG)[0] == golden
+        ontology.write_bytes(original + _RULER_LABEL.encode())
+        changed = _report(FIXTURE_CONFIG)
+        assert _report(FIXTURE_CONFIG) == changed
+        pipeline._loaded = None
+        assert _report(FIXTURE_CONFIG) == changed
+        assert changed[0] != golden
+        ontology.write_bytes(original)
+        assert _report(FIXTURE_CONFIG)[0] == golden
+
+    @pytest.mark.parametrize("line, error", [
+        pytest.param(b"<c:Square> <ome:relatedTo> <c:Rhombus>\n", MalformedTripleError,
+                     id="malformed"),
+        pytest.param(b"<c:Square> <ome:relatedTo> <c:Square> .\n", SelfLoopEdgeError,
+                     id="self-loop"),
+    ])
+    def test_failed_load_leaves_the_slot(self, fixture_copy, golden, line, error):
+        ontology = Path("fixtures/ontology.nt")
+        original = ontology.read_bytes()
+        first = _report(FIXTURE_CONFIG)
+        assert first[0] == golden
+        kept = pipeline._loaded
+        ontology.write_bytes(original + line)
+        messages = []
+        # with the good load in the slot, twice (a failure is not kept),
+        # then with the slot empty: the same error, naming the file
+        for slot in (kept, kept, None):
+            pipeline._loaded = slot
+            with pytest.raises(error) as exc:
+                run(FIXTURE_CONFIG)
+            assert pipeline._loaded is slot
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+        assert messages[0].startswith("fixtures/ontology.nt: ")
+        ontology.write_bytes(original)
+        pipeline._loaded = kept
+        assert _report(FIXTURE_CONFIG) == first
+        assert pipeline._loaded is kept
+
+    def test_concurrent_runs_each_score_afresh(self, fixture_copy, golden):
+        # four threads on two cores, two on the fixture and two on another
+        # ontology, so the slot is hit and replaced while runs are going:
+        # every run gives its fresh report and scores every sequence itself
+        other = FIXTURE_CONFIG._replace(ontology="fixtures/other.nt")
+        Path(other.ontology).write_bytes(
+            Path(FIXTURE_CONFIG.ontology).read_bytes() + _RULER_LABEL.encode())
+        fresh = {config: _report(config) for config in (other, FIXTURE_CONFIG)}
+        assert fresh[FIXTURE_CONFIG][0] == golden
+        barrier = threading.Barrier(4)
+
+        def work(config, counts):
+            barrier.wait(timeout=60)
+            results = []
+            for _ in range(5):
+                before = counts[threading.get_ident()]
+                payload = serialize_report(run(config), "json")
+                results.append((payload, counts[threading.get_ident()] - before))
+            return results
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _counting_scores() as counts, ThreadPoolExecutor(4) as pool:
+                configs = [FIXTURE_CONFIG, other, FIXTURE_CONFIG, other]
+                futures = [pool.submit(work, config, counts) for config in configs]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[fresh[config]] * 5 for config in configs]
 
 
 class TestRunConfigValidation:
