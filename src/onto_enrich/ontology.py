@@ -173,11 +173,21 @@ class OntologyGraph:
     """Typed concept graph with a hierarchical predicate subset.
 
     ``concepts`` maps each IRI to its label Literals. Two graphs are equal
-    when their concepts, edges and hierarchical predicates are. The adjacency
-    of each edge filter is derived from the edges once, on construction.
+    when their concepts, edges and hierarchical predicates are.
+
+    On construction the concepts are numbered once, in IRI order, so that
+    comparing numbers compares IRIs: ``iris[i]`` is concept i and
+    ``number`` maps an IRI back to i. For each edge filter, keyed by
+    ``hierarchical_only``, two tables are built from the edges, traversed as
+    undirected: ``near[h][i]`` is the tuple of the distinct neighbours of i,
+    ascending, and ``step[h][i][k]`` the smallest predicate joining i and
+    its k-th neighbour ``near[h][i][k]``. Tuples rather than a dict per
+    concept keep the tables small. ``edge_set`` holds the edges again, for
+    checks made apart from the tables.
     """
 
-    __slots__ = ("concepts", "edges", "hierarchical_predicates", "_adj_full", "_adj_hier")
+    __slots__ = ("concepts", "edges", "hierarchical_predicates", "iris", "number",
+                 "near", "step", "edge_set")
 
     def __init__(
         self,
@@ -188,16 +198,21 @@ class OntologyGraph:
         self.concepts = concepts
         self.edges = edges
         self.hierarchical_predicates = hierarchical_predicates
-        full: dict[str, set[tuple[str, str]]] = {iri: set() for iri in concepts}
-        hier: dict[str, set[tuple[str, str]]] = {iri: set() for iri in concepts}
+        self.iris = tuple(sorted(concepts))
+        number = self.number = {iri: i for i, iri in enumerate(self.iris)}
+        full: list[dict[int, str]] = [{} for _ in self.iris]
+        hier: list[dict[int, str]] = [{} for _ in self.iris]
         for subject, predicate, obj in edges:
-            full[subject].add((obj, predicate))
-            full[obj].add((subject, predicate))
-            if predicate in hierarchical_predicates:
-                hier[subject].add((obj, predicate))
-                hier[obj].add((subject, predicate))
-        self._adj_full = {k: tuple(sorted(v)) for k, v in full.items()}
-        self._adj_hier = {k: tuple(sorted(v)) for k, v in hier.items()}
+            i, j = number[subject], number[obj]
+            for joins in (full, hier) if predicate in hierarchical_predicates else (full,):
+                known = joins[i].get(j)
+                if known is None or predicate < known:
+                    joins[i][j] = joins[j][i] = predicate
+        self.near, self.step = {}, {}
+        for h, rows in ((False, full), (True, hier)):
+            near = self.near[h] = tuple(tuple(sorted(row)) for row in rows)
+            self.step[h] = tuple(tuple(map(row.__getitem__, js)) for row, js in zip(rows, near))
+        self.edge_set = frozenset(edges)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -208,11 +223,6 @@ class OntologyGraph:
     def __repr__(self):
         return (f"OntologyGraph(concepts={self.concepts!r}, edges={self.edges!r}, "
                 f"hierarchical_predicates={self.hierarchical_predicates!r})")
-
-    def neighbors(self, iri: str, hierarchical_only: bool) -> tuple[tuple[str, str], ...]:
-        """(neighbor iri, predicate iri) pairs in ascending order, undirected."""
-        adj = self._adj_hier if hierarchical_only else self._adj_full
-        return adj[iri]
 
 
 def build_graph(

@@ -61,37 +61,59 @@ def paths_from(
     whose node sequence is lexicographically smallest, and each of its steps
     takes the smallest predicate joining its two nodes under the edge filter.
     One breadth-first search serves every target, stopping once all are
-    discovered or the depth cap is reached. It expands each node's neighbors
-    in ascending (neighbor iri, predicate iri) order and fixes a node's
+    discovered or the depth cap is reached. It runs over the graph's concept
+    numbers, whose order is IRI order: it expands each node's distinct
+    neighbours in ascending order (``graph.near``) and fixes a node's
     predecessor at first discovery, so every level's frontier is in the
-    order of its nodes' paths and each node gets that smallest path.
+    order of its nodes' paths and each node gets that smallest path. Numbers
+    become IRIs, and steps predicates (``graph.step``), only when a found
+    path is rebuilt.
     """
     targets = list(targets)
+    number = graph.number
     for iri in (src, *targets):
-        if iri not in graph.concepts:
+        if iri not in number:
             raise UnknownConceptError(f"unknown concept <{iri}>")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
 
     hier = edge_filter is EdgeFilter.HIERARCHICAL
-    pending = set(targets)
-    pending.discard(src)
-    came_from: dict[str, tuple[str, str]] = {src: ("", "")}
-    frontier = [src]
+    near = graph.near[hier]
+    start = number[src]
+    pending = {number[t] for t in targets}
+    pending.discard(start)
+    remaining = len(pending)
+    came = [-1] * len(near)  # each reached node's predecessor; the source's is itself
+    came[start] = start
+    frontier = [start]
     for _ in range(max_depth):
-        if not pending or not frontier:
+        if not remaining or not frontier:
             break
-        next_frontier: list[str] = []
+        next_frontier: list[int] = []
         for node in frontier:
-            for neighbor, predicate in graph.neighbors(node, hierarchical_only=hier):
-                if neighbor not in came_from:
-                    came_from[neighbor] = (node, predicate)
-                    pending.discard(neighbor)
+            for neighbor in near[node]:
+                if came[neighbor] < 0:
+                    came[neighbor] = node
                     next_frontier.append(neighbor)
-            if not pending:
+                    if neighbor in pending:
+                        remaining -= 1
+            if not remaining:
                 break
         frontier = next_frontier
-    return {t: _reconstruct(came_from, src, t) for t in targets if t in came_from}
+
+    iris, step = graph.iris, graph.step[hier]
+    found = {}
+    for target in targets:
+        node = number[target]
+        if came[node] >= 0 and target not in found:
+            nodes = [node]
+            while node != start:
+                node = came[node]
+                nodes.append(node)
+            nodes.reverse()
+            predicates = tuple(step[a][near[a].index(b)] for a, b in zip(nodes, nodes[1:]))
+            found[target] = PathResult(len(predicates), tuple(iris[i] for i in nodes), predicates)
+    return found
 
 
 def shortest_path(
@@ -103,19 +125,6 @@ def shortest_path(
 ) -> PathResult | None:
     """``paths_from`` for one target: its path, or None if out of reach."""
     return paths_from(graph, src, (dst,), edge_filter, max_depth).get(dst)
-
-
-def _reconstruct(came_from: dict[str, tuple[str, str]], src: str, dst: str) -> PathResult:
-    nodes = [dst]
-    predicates = []
-    node = dst
-    while node != src:
-        node, predicate = came_from[node]
-        nodes.append(node)
-        predicates.append(predicate)
-    nodes.reverse()
-    predicates.reverse()
-    return PathResult(len(predicates), tuple(nodes), tuple(predicates))
 
 
 def enumerate_pairs(matches: list[ConceptMatch]) -> list[tuple[str, str, str]]:

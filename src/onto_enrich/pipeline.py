@@ -120,15 +120,7 @@ def run(config: RunConfig) -> Report:
     """Execute the whole pipeline and return the report."""
     with _file_context(config.corpus):
         questions = parse_corpus(Path(config.corpus).read_bytes())
-    lexicon = {}
-    if config.lexicon:
-        with _file_context(config.lexicon):
-            lexicon = load_lexicon(Path(config.lexicon).read_bytes())
-    stoplist = DEFAULT_STOPLIST
-    if config.stoplist:
-        with _file_context(config.stoplist):
-            stoplist = load_stoplist(Path(config.stoplist).read_bytes())
-    graph, index, warnings = _load_ontology(config, lexicon, stoplist)
+    lexicon, stoplist, graph, index, warnings = _load_ontology(config)
     index = index.for_run()  # the memos live one run; the shared tables do not change
 
     matches = [
@@ -161,31 +153,55 @@ def run(config: RunConfig) -> Report:
     return report
 
 
-# The last successful ontology load: (key, graph, label index, index
-# warnings). A run reads it once and replaces it whole by one assignment,
-# so concurrent runs need no lock. One slot, so a caller that alternates
-# ontologies rebuilds each time and memory never grows.
+# The last successful ontology load: (key, lexicon, stoplist, graph, label
+# index, index warnings), the lexicon and stoplist as parsed. A run reads it
+# once and replaces it whole by one assignment, so concurrent runs need no
+# lock. One slot, so a caller that alternates ontologies rebuilds each time
+# and memory never grows.
 _loaded = None
 
 
-def _load_ontology(config: RunConfig, lexicon, stoplist):
-    """The graph, label index and index warnings of this run's inputs.
+def _read_parsed(path, parse, default, kept_data, kept_value):
+    """(bytes, parsed value) of the file at ``path``, or (None, ``default``)
+    without one. Bytes equal to ``kept_data`` parsed cleanly before, so they
+    give ``kept_value`` unparsed."""
+    if not path:
+        return None, default
+    data = Path(path).read_bytes()
+    if data == kept_data:
+        return data, kept_value
+    with _file_context(path):
+        return data, parse(data)
 
-    Reused from ``_loaded`` when its key equals this run's: the ontology
-    bytes, the parsed lexicon and stoplist, both predicate collections and
-    label_lang, all compared by value, never by path or mtime. Otherwise
-    built and kept; a load that raises leaves ``_loaded`` as it was.
+
+def _load_ontology(config: RunConfig):
+    """The lexicon, stoplist, graph, label index and index warnings of this
+    run's inputs.
+
+    The lexicon, stoplist and ontology files are read in that order, each
+    read in full and compared by bytes with the ones kept in ``_loaded``,
+    never by path or mtime; a lexicon or stoplist is parsed only when its
+    bytes differ. The graph and index are reused when the whole key equals
+    the kept one: the three files' bytes, both predicate collections and
+    label_lang. Otherwise they are built and kept; a load that raises leaves
+    ``_loaded`` as it was.
     """
     global _loaded
+    loaded = _loaded
+    # an empty slot keeps no bytes, so no file's bytes equal its kept ones
+    kept_key, kept_lexicon, kept_stoplist = loaded[:3] if loaded else ((None,) * 3, None, None)
+    lexicon_data, lexicon = _read_parsed(
+        config.lexicon, load_lexicon, {}, kept_key[1], kept_lexicon)
+    stoplist_data, stoplist = _read_parsed(
+        config.stoplist, load_stoplist, DEFAULT_STOPLIST, kept_key[2], kept_stoplist)
     # copies: a list in the config could change after the key is kept
     label_predicates = tuple(config.label_predicates)
     hierarchical_predicates = tuple(config.hierarchical_predicates)
     with _file_context(config.ontology):
         data = Path(config.ontology).read_bytes()
-        key = (data, lexicon, stoplist, label_predicates, hierarchical_predicates,
+        key = (data, lexicon_data, stoplist_data, label_predicates, hierarchical_predicates,
                config.label_lang)
-        loaded = _loaded
-        if loaded is not None and loaded[0] == key:
+        if key == kept_key:
             return loaded[1:]
         graph = build_graph(
             parse_triples(data),
@@ -195,7 +211,7 @@ def _load_ontology(config: RunConfig, lexicon, stoplist):
         )
     warnings: list[str] = []
     index = build_label_index(graph, lexicon, stoplist, on_warning=warnings.append)
-    _loaded = (key, graph, index, tuple(warnings))
+    _loaded = (key, lexicon, stoplist, graph, index, tuple(warnings))
     return _loaded[1:]
 
 
@@ -221,9 +237,9 @@ def _check_report(report: Report, graph: OntologyGraph) -> None:
     """Cross-check every record against its invariants before emitting.
 
     Path steps are checked against the graph's edges, not against the
-    adjacency the paths were searched over.
+    tables the paths were searched over.
     """
-    edges = set(graph.edges)  # a RelationEdge hashes and compares as its (s, p, o)
+    edges = graph.edge_set  # a RelationEdge hashes and compares as its (s, p, o)
     seen = set()
     for record in report.records:
         concept_a, concept_b, hierarchical, full, optimal, question_ids = record

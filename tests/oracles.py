@@ -131,7 +131,8 @@ def bfs_path_reference(
     Edges are traversed as undirected. Among equal-length paths the result
     is the one BFS reaches first when every node expands its neighbors in
     ascending (neighbor iri, predicate iri) order, which pins the output
-    byte-for-byte across runs.
+    byte-for-byte across runs. The adjacency is built here from
+    ``graph.edges``, apart from the graph's own search tables.
     """
     if src not in graph.concepts:
         raise UnknownConceptError(f"unknown concept <{src}>")
@@ -143,12 +144,17 @@ def bfs_path_reference(
         return PathResult(0, (src,), ())
 
     hier = edge_filter is EdgeFilter.HIERARCHICAL
+    adjacency: dict[str, set[tuple[str, str]]] = {}
+    for subject, predicate, obj in graph.edges:
+        if not hier or predicate in graph.hierarchical_predicates:
+            adjacency.setdefault(subject, set()).add((obj, predicate))
+            adjacency.setdefault(obj, set()).add((subject, predicate))
     came_from: dict[str, tuple[str, str]] = {src: ("", "")}
     frontier = [src]
     for _ in range(max_depth):
         next_frontier: list[str] = []
         for node in frontier:
-            for neighbor, predicate in graph.neighbors(node, hierarchical_only=hier):
+            for neighbor, predicate in sorted(adjacency.get(node, ())):
                 if neighbor in came_from:
                     continue
                 came_from[neighbor] = (node, predicate)

@@ -1,8 +1,11 @@
-"""The scorer and codec benchmarks still reproduce their pinned checksums.
+"""The scorer, path search and codec benchmarks still reproduce their
+pinned checksums.
 
 ``benchmarks/bench_matching.py`` prints a checksum of the matched pair
 counts that is fixed by its seed; a change to the scorer that alters any
-result changes it. ``benchmarks/bench_io.py`` prints sha256 prefixes of the
+result changes it. ``benchmarks/bench_paths.py`` prints a sha256 prefix of
+every search's paths, so a change to the search that alters any path
+changes it. ``benchmarks/bench_io.py`` prints sha256 prefixes of the
 parsed triples' repr and of the JSON report bytes, so a change to the
 ``Literal`` record or to either codec that alters its output changes them.
 """
@@ -27,6 +30,12 @@ def test_bench_matching_checksum(repo_root):
     stdout = _run_benchmark(repo_root, "bench_matching.py")
     assert "(checksum 660150)" in stdout
     assert "1000 index entries (20 distinct lemma rows)" in stdout
+
+
+def test_bench_paths_checksum(repo_root):
+    stdout = _run_benchmark(repo_root, "bench_paths.py", "--repeat", "1")
+    assert "(484 searches, 1050 paths, sha256 a6d9c546702048be)" in stdout
+    assert "946 pairs from 242 sources" in stdout
 
 
 def test_bench_io_checksums(repo_root):

@@ -15,6 +15,7 @@ from onto_enrich.errors import (
 from onto_enrich.ontology import (
     Literal,
     OntologyGraph,
+    RelationEdge,
     _match_line,
     _scan_line,
     build_graph,
@@ -27,6 +28,25 @@ from onto_enrich.textnorm import DEFAULT_STOPLIST, decode_lines
 
 def hierarchical_edges(graph):
     return tuple(e for e in graph.edges if e.predicate in graph.hierarchical_predicates)
+
+
+def smallest_joining(graph, hierarchical_only):
+    """{(a, b): the smallest predicate joining IRIs a and b}, both ways,
+    read from the edges under one filter."""
+    joining = {}
+    for e in hierarchical_edges(graph) if hierarchical_only else graph.edges:
+        for pair in ((e.subject, e.object), (e.object, e.subject)):
+            joining[pair] = min(joining.get(pair, e.predicate), e.predicate)
+    return joining
+
+
+def search_tables(graph, hierarchical_only):
+    """The graph's search tables under one filter, by IRI: {a: ((b,
+    predicate), ...)} with each row as ``near`` orders it."""
+    iris = graph.iris
+    near, step = graph.near[hierarchical_only], graph.step[hierarchical_only]
+    return {iris[i]: tuple((iris[j], p) for j, p in zip(near[i], step[i], strict=True))
+            for i in range(len(iris))}
 
 
 def literal_labels(graph, iri):
@@ -277,7 +297,9 @@ class TestBuildGraph:
         graph = build_graph([("c:Lonely", "rdfs:label", Literal("Lonely one", "en"))])
         assert set(graph.concepts) == {"c:Lonely"}
         assert literal_labels(graph, "c:Lonely") == (Literal("Lonely one", "en"),)
-        assert graph.neighbors("c:Lonely", hierarchical_only=False) == ()
+        for hier in (True, False):
+            assert graph.near[hier][graph.number["c:Lonely"]] == ()
+            assert graph.step[hier][graph.number["c:Lonely"]] == ()
 
     def test_non_label_literal_registers_subject_only(self):
         graph = build_graph([("c:A", "c:comment", Literal("note", None))])
@@ -321,17 +343,35 @@ class TestBuildGraph:
         assert fixture_graph.hierarchical_predicates == {"rdfs:subClassOf", "ome:hasChild"}
 
     def test_neighbors_sorted(self, fixture_graph):
-        for iri in fixture_graph.concepts:
+        # concepts numbered in IRI order; rows ascending and distinct; each
+        # step the smallest predicate joining its nodes under the filter,
+        # also where parallel edges arrive out of order
+        parallel = (RelationEdge("c:Square", "ome:zz", "c:Rhombus"),
+                    RelationEdge("c:Rhombus", "ome:aa", "c:Square"),
+                    RelationEdge("c:Square", "rdfs:subClassOf", "c:Rhombus"))
+        graphs = (fixture_graph, OntologyGraph(fixture_graph.concepts,
+                                               parallel + fixture_graph.edges,
+                                               fixture_graph.hierarchical_predicates))
+        for graph in graphs:
+            assert graph.iris == tuple(sorted(graph.concepts))
+            assert graph.number == {iri: i for i, iri in enumerate(graph.iris)}
             for hier in (True, False):
-                pairs = fixture_graph.neighbors(iri, hierarchical_only=hier)
-                assert list(pairs) == sorted(pairs)
+                for i, row in enumerate(graph.near[hier]):
+                    assert list(row) == sorted(set(row))
+                    assert len(graph.step[hier][i]) == len(row)
+                tables = search_tables(graph, hier)
+                assert {(a, b): p for a, row in tables.items() for b, p in row} == \
+                    smallest_joining(graph, hier)
+        assert search_tables(graphs[1], False)["c:Square"][-1] == ("c:Rhombus", "ome:aa")
 
     def test_replace_leaves_the_original_intact(self):
         graph = build_graph(parse_triples(b"<a> <p> <b> .\n<b> <p> <c> .\n"))
         copy = OntologyGraph(graph.concepts, graph.edges[:1], graph.hierarchical_predicates)
-        assert graph.neighbors("b", False) == (("a", "p"), ("c", "p"))
-        assert copy.neighbors("b", False) == (("a", "p"),)
-        assert copy.neighbors("c", False) == ()
+        assert search_tables(graph, False)["b"] == (("a", "p"), ("c", "p"))
+        assert search_tables(copy, False)["b"] == (("a", "p"),)
+        assert search_tables(copy, False)["c"] == ()
+        assert copy.edge_set == {("a", "p", "b")}
+        assert graph.edge_set == {("a", "p", "b"), ("b", "p", "c")}
 
 
 class TestBuildLabelIndex:

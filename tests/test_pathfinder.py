@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import UnknownConceptError
 from onto_enrich.matcher import ConceptMatch
-from onto_enrich.ontology import Literal, build_graph
+from onto_enrich.ontology import Literal, OntologyGraph, RelationEdge, build_graph
 from onto_enrich.pathfinder import (
     EdgeFilter,
     PathResult,
@@ -277,6 +277,21 @@ def multigraphs(draw):
     return graph, draw(st.integers(1, n))
 
 
+@st.composite
+def numbered_graphs(draw):
+    """(graph, max_depth): a multigraph made with ``OntologyGraph(...)``
+    itself, its concepts dict keyed in shuffled order and its edges, parallel
+    ones under several predicates among them, in shuffled order too."""
+    n = draw(st.integers(2, 7))
+    nodes = draw(st.permutations([f"n:{i}" for i in range(n)]))
+    predicates = ("p:sub", "p:hier", "p:cross", "p:also")
+    edges = draw(_edge_lists(n, predicates).map(set).map(sorted).flatmap(st.permutations))
+    concepts = {iri: (Literal(iri[2:]),) for iri in nodes}
+    graph = OntologyGraph(concepts, tuple(RelationEdge(nodes[a], p, nodes[b]) for a, b, p in edges),
+                          frozenset({"p:sub", "p:hier"}))
+    return graph, draw(st.integers(1, n))
+
+
 # A-B1-C and A-B2-C tie under both filters; B1-C also has two predicates
 _TIE_GRAPH = build_graph([
     ("c:A", "p:hier", "c:B2"),
@@ -336,6 +351,20 @@ class TestPathsFrom:
 
     def test_no_targets(self, fixture_graph):
         assert paths_from(fixture_graph, "c:Angle", [], EdgeFilter.ALL) == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(numbered_graphs())
+    def test_numbering_keeps_the_lexmin_shortest_path(self, query):
+        # the search runs over concept numbers: a path must come out as the
+        # one defined over IRIs, whatever order the concepts and edges came in
+        graph, max_depth = query
+        nodes = list(graph.concepts)
+        for src in nodes:
+            for edge_filter in EdgeFilter:
+                found = paths_from(graph, src, nodes, edge_filter, max_depth)
+                for dst in nodes:
+                    expected = lexmin_shortest_path(graph, src, dst, edge_filter, max_depth)
+                    assert found.get(dst) == expected
 
 
 class TestCompareFrom:

@@ -17,6 +17,7 @@ from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import (
     InternalInvariantError,
     InvalidUtf8Error,
+    MalformedLexiconLineError,
     MalformedTripleError,
     SelfLoopEdgeError,
 )
@@ -328,6 +329,37 @@ class TestOntologyReuse:
         pipeline._loaded = kept
         assert _report(FIXTURE_CONFIG) == first
         assert pipeline._loaded is kept
+
+    def test_lexicon_and_stoplist_parsed_only_when_their_bytes_change(
+            self, fixture_copy, golden, monkeypatch):
+        parsed = Counter()
+
+        def counted(name):
+            parse = getattr(pipeline, name)
+
+            def parse_counted(data):
+                parsed[name] += 1
+                return parse(data)
+            return parse_counted
+
+        for name in ("load_lexicon", "load_stoplist"):
+            monkeypatch.setattr(pipeline, name, counted(name))
+        lexicon, stoplist = Path("fixtures/lexicon.tsv"), Path("fixtures/stoplist.txt")
+        assert _report(_REUSE_CONFIG) == _report(_REUSE_CONFIG)
+        assert parsed == {"load_lexicon": 1, "load_stoplist": 1}
+        # a changed ontology alone rebuilds the graph, not the two parses
+        ontology = Path("fixtures/ontology.nt")
+        ontology.write_bytes(ontology.read_bytes() + _RULER_LABEL.encode())
+        _report(_REUSE_CONFIG)
+        assert parsed == {"load_lexicon": 1, "load_stoplist": 1}
+        stoplist.write_bytes(stoplist.read_bytes() + b"ruler\n")
+        _report(_REUSE_CONFIG)
+        assert parsed == {"load_lexicon": 1, "load_stoplist": 2}
+        # a malformed lexicon still fails before a missing stoplist is read
+        lexicon.write_bytes(lexicon.read_bytes() + b"no tab here\n")
+        stoplist.unlink()
+        with pytest.raises(MalformedLexiconLineError, match="^fixtures/lexicon.tsv: "):
+            run(_REUSE_CONFIG)
 
     def test_concurrent_runs_each_score_afresh(self, fixture_copy, golden):
         # four threads on two cores, two on the fixture and two on another
