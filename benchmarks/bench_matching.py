@@ -3,24 +3,27 @@
 
 Builds a synthetic label index and phrase set shaped like a real deployment
 (hundreds of concepts, thousands of phrases), packs the index once, and
-times ``score_counts`` over every phrase. The checksum (total matched pairs)
-is fixed by the seed, so a change to the scorer that alters its results
-shows as a different checksum at the same arguments. Every phrase is scored
-afresh: the matcher's per-sequence memo is not involved. The index packs
-one row per distinct lemma, printed beside the entry count; the 20-word
-vocabulary gives far fewer rows than real labels do, which flatters the
-packing here. It also makes nearly every label share a word with every
-phrase, so the overlap filter prunes little and the score time is mostly
-the greedy pairing of the labels that survive it.
+times ``pair_counts`` over every phrase. The checksum (total matched pairs,
+decoded from the bit planes) is fixed by the seed, so a change to the scorer
+that alters its results shows as a different checksum at the same
+arguments. Every phrase is scored afresh: the matcher's per-sequence memo is
+not involved. The index packs one row per distinct lemma, printed beside the
+entry count; the 20-word vocabulary gives far fewer rows than real labels
+do, which flatters the packing here. It also makes nearly every label share
+a word with every phrase, so the overlap filter prunes little and the score
+time is mostly the greedy pairing of the labels that survive it;
+``--word-threshold 0``, where every word pairs with every word, is the worst
+case.
 
 Usage: PYTHONPATH=src python benchmarks/bench_matching.py [--entries N] [--phrases N]
+       [--word-threshold T]
 """
 
 import argparse
 import random
 import time
 
-from onto_enrich._scoring import IndexEntry, LabelIndex, score_counts
+from onto_enrich._scoring import IndexEntry, LabelIndex, pair_counts
 
 VOCABULARY = [
     "triangle", "quadrilateral", "perpendicular", "segment", "middle", "line",
@@ -55,8 +58,8 @@ def main():
           f"x {args.phrases} phrases, word threshold {args.word_threshold}")
     checksum = 0
     for seq in phrases:
-        m, _ = score_counts(index, seq, args.word_threshold)
-        checksum += sum(m.values())
+        planes = pair_counts(index, seq, args.word_threshold)
+        checksum += sum(plane.bit_count() << b for b, plane in enumerate(planes))
     scored = time.perf_counter()
     print(f"   pack: {packed - started:8.3f} s")
     print(f"  score: {scored - packed:8.3f} s   (checksum {checksum})")

@@ -2,18 +2,24 @@
 
 Matching a phrase means greedily pairing its lemmas with every label's
 lemmas at character-set granularity, for every entry of the label index.
-``LabelIndex`` numbers the distinct lemmas of its entries once, one row per
-distinct lemma however many labels share it, and packs the rows into Python
-integers used as bitmasks: one mask per character (the rows holding it) and
-one per character-set size. ``score_counts`` counts, for one phrase lemma at
-a time, the characters it shares with every row at once through a bit-sliced
-adder over those masks. A character Jaccard of at least t needs a minimum
-overlap that depends only on the two set sizes (the overlap filter of
-AllPairs, Bayardo et al., WWW 2007, and PPJoin, Xiao et al., WWW 2008), so
-one comparison per size finds exactly the rows that can pair. Only entries
-holding such a row are paired; every other entry pairs nothing.
+``LabelIndex`` packs the index once into Python integers used as bitmasks,
+in two spaces. In row space, one row per distinct lemma however many labels
+share it, there is one mask per character (the rows holding it) and one per
+character-set size. For one phrase lemma at a time, a bit-sliced adder over
+those masks counts the characters it shares with every row at once. A
+character Jaccard of at least t needs a minimum overlap that depends only on
+the two set sizes (the overlap filter of AllPairs, Bayardo et al., WWW 2007,
+and PPJoin, Xiao et al., WWW 2008), so the counts give exactly the rows that
+can pair, grouped by their Jaccard. In entry space, bit b stands for the
+entry of rank b, and each (row, position) has the mask of the entries
+holding that row at that position. ``pair_counts`` then runs the greedy
+pairing for every entry at once, one mask operation per (Jaccard group,
+position), and keeps the per-entry pair counts as bit planes
+(bit-parallelism in the sense of Myers, JACM 1999). The lowest set bit of a
+mask is the entry that wins a tie.
 """
 
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import EmptySequenceError
@@ -31,56 +37,67 @@ class IndexEntry(NamedTuple):
 class LabelIndex:
     """Index entries packed once for batch scoring of many phrases.
 
-    Equal lemmas share one row, rows numbered by first occurrence:
-    ``rows[r]`` is the lemma of row ``r``, ``row_chars[r]`` its character
-    set and ``row_entries[r]`` the positions of the entries holding it,
-    ascending. Bit ``r`` of ``char_rows[c]`` is set when row ``r`` holds
-    character ``c``, and bit ``r`` of ``size_rows[s]`` when row ``r`` has
-    ``s`` distinct characters. ``rank`` orders the entries by (lemma count,
-    iri, label), the tie-break between equally scored labels.
+    ``order`` lists the entry positions by (lemma count, iri, label), the
+    tie-break between equally scored labels; bit ``b`` of every entry mask
+    stands for entry ``order[b]``, so the lowest set bit wins a tie. Equal
+    lemmas share one row, rows numbered by first occurrence: ``rows[r]`` is
+    the lemma of row ``r``. Bit ``r`` of ``char_rows[c]`` is set when row
+    ``r`` holds character ``c``, and of ``size_rows[s]`` when row ``r`` has
+    ``s`` distinct characters.
+    ``row_positions[r]`` pairs each position ``k`` at which some entry holds
+    row ``r`` with the mask of those entries, ``length_entries[n]`` is the
+    mask of the entries with ``n`` lemmas, and ``unpaired`` holds one mask
+    of every entry per position, the free positions before any pairing.
 
     The packed tables never change after construction, so one index can
     outlive a run and serve many: ``pipeline.run`` keeps the last one it
-    built. The two memos cannot outlive a run: they hold its work and grow
-    with it. ``for_run`` gives each run a view that shares the tables and
-    has empty memos of its own. ``pairable`` maps (lemma, word_threshold)
-    to the character Jaccard of every row lemma that clears the threshold,
-    and to the entries holding one. ``memo`` is filled by
-    ``matcher.match_phrase``: it maps (lemma sequence, word_threshold,
-    seq_threshold) to the winning entry's position and score, or None when
-    no label clears the threshold.
+    built. The memos cannot outlive a run: they hold its work and grow with
+    it. ``for_run`` gives each run a view that shares the tables and has
+    empty memos of its own. ``pairable`` maps (lemma, word_threshold) to the
+    entries that the lemma can pair with (``_pairable``), and ``overlaps``
+    maps (character count, word_threshold) to the (Jaccard, overlap, rows)
+    table it reads. ``memo`` and ``walks`` are filled by ``matcher``:
+    ``memo`` maps (lemma sequence, word_threshold, seq_threshold) to the
+    winning entry's position and score, or None when no label clears the
+    threshold, and ``walks`` maps a phrase length to its scores in
+    descending order.
     """
 
     def __init__(self, entries: Iterable[IndexEntry]):
         self.entries = entries = tuple(entries)
-        holders: dict[str, list[int]] = {}
-        for j, entry in enumerate(entries):
+        for entry in entries:
             # a label that normalizes to nothing has nothing to match
             if not entry.lemmas:
                 raise EmptySequenceError(
                     f"index entry {entry.label!r} of <{entry.iri}> has no lemmas")
-            for lemma in entry.lemmas:
-                js = holders.get(lemma)
-                if js is None:
-                    holders[lemma] = [j]
-                elif js[-1] != j:
-                    js.append(j)
-        self.rows = list(holders)
-        self.row_chars = [frozenset(lemma) for lemma in self.rows]
-        self.row_entries = list(holders.values())
-        self.char_rows = _masks(self.row_chars, len(self.rows))
-        self.size_rows = _masks([(len(chars),) for chars in self.row_chars], len(self.rows))
+        self.rows = list(dict.fromkeys(lemma for entry in entries for lemma in entry.lemmas))
+        row_chars = [frozenset(lemma) for lemma in self.rows]
+        self.char_rows = _masks(row_chars, len(self.rows))
+        self.size_rows = _masks([(len(chars),) for chars in row_chars], len(self.rows))
+        del row_chars   # the largest table built here; free it before the masks below
         keys = [(len(entry.lemmas), entry.iri, entry.label) for entry in entries]
-        self.rank = [0] * len(entries)
-        for position, j in enumerate(sorted(range(len(entries)), key=keys.__getitem__)):
-            self.rank[j] = position
-        self.pairable: dict[tuple[str, float], tuple[dict[str, float], set[int]]] = {}
+        self.order = sorted(range(len(entries)), key=keys.__getitem__)
+        # few entries hold a row at one position, so these masks are ORed bit
+        # by bit; a label length is dense, so its mask comes from _masks
+        positions: dict[str, dict[int, int]] = {lemma: {} for lemma in self.rows}
+        for b, j in enumerate(self.order):
+            bit = 1 << b
+            for k, lemma in enumerate(entries[j].lemmas):
+                at = positions[lemma]
+                at[k] = at.get(k, 0) | bit
+        self.row_positions = [tuple(at.items()) for at in positions.values()]
+        self.length_entries = _masks(
+            [(len(entries[j].lemmas),) for j in self.order], len(entries))
+        self.unpaired = ((1 << len(entries)) - 1,) * max(self.length_entries, default=0)
+        self.pairable: dict[tuple[str, float], tuple[int, list[list[tuple[int, int]]]]] = {}
+        self.overlaps: dict[tuple[int, float], list[tuple[float, int, int]]] = {}
         self.memo: dict[tuple[LemmaSequence, float, float], tuple[int, float] | None] = {}
+        self.walks: dict[int, list[tuple[float, list[tuple[int, int]]]]] = {}
 
     def for_run(self) -> "LabelIndex":
         """This index with empty memos of its own; the tables are shared."""
         view = object.__new__(LabelIndex)
-        view.__dict__.update(self.__dict__, pairable={}, memo={})
+        view.__dict__.update(self.__dict__, pairable={}, overlaps={}, memo={}, walks={})
         return view
 
     def __len__(self) -> int:
@@ -137,102 +154,90 @@ def _at_least(planes: list[int], k: int, rows: int) -> int:
     return more | equal
 
 
-def _min_overlap(n: int, s: int, word_threshold: float) -> int | None:
-    """Fewest shared characters that let sets of sizes n and s pair, if any.
+def _overlaps(size_rows: dict[int, int], n: int,
+              word_threshold: float) -> list[tuple[float, int, int]]:
+    """(Jaccard, overlap i, rows of size s) for every (i, s) that pairs.
 
-    Uses the confirm step's own float test, so the filter passes exactly
-    the rows whose Jaccard clears ``word_threshold``.
+    Covers every row size s and every count i of characters that a set of
+    ``n`` characters can share with a set of s, keeps those whose Jaccard
+    clears ``word_threshold``, and lists them by Jaccard, highest first.
     """
-    for i in range(min(n, s) + 1):
+    table = [
         # two empty sets count as equal, as in the char_jaccard spec (tests/oracles.py)
-        if (i / (n + s - i) if n + s else 1.0) >= word_threshold:
-            return i
-    return None
+        (i / (n + s - i) if n + s else 1.0, i, rows)
+        for s, rows in size_rows.items() for i in range(min(n, s) + 1)]
+    return sorted((t for t in table if t[0] >= word_threshold), key=itemgetter(0), reverse=True)
 
 
 def _pairable(index: LabelIndex, lemma: str,
-              word_threshold: float) -> tuple[dict[str, float], set[int]]:
-    """Row lemmas that ``lemma`` can pair with, and the entries holding them.
+              word_threshold: float) -> tuple[int, list[list[tuple[int, int]]]]:
+    """Entries that ``lemma`` can pair with, grouped by character Jaccard.
 
-    Returns the character Jaccard of ``lemma`` with every row lemma that
-    clears ``word_threshold``, and the positions of the entries holding one.
+    Returns the mask of the entries holding a row lemma whose Jaccard with
+    ``lemma`` clears ``word_threshold``, and one group per distinct Jaccard
+    value, highest first. A group lists, by ascending position k, the mask
+    of the entries holding a row of that Jaccard at k. Equal floats from
+    different (overlap, size) pairs, such as 2/4 and 3/6, form one group.
     """
     chars = frozenset(lemma)
-    n = len(chars)
+    key = (len(chars), word_threshold)
+    table = index.overlaps.get(key)
+    if table is None:
+        table = index.overlaps[key] = _overlaps(index.size_rows, *key)
     # characters outside the index alphabet intersect nothing
     planes = _count_bits(index.char_rows[c] for c in chars if c in index.char_rows)
-    by_overlap: dict[int, int] = {}
-    for s, rows in index.size_rows.items():
-        k = _min_overlap(n, s, word_threshold)
-        if k is not None:
-            by_overlap[k] = by_overlap.get(k, 0) | rows
-    survivors = 0
-    for k, rows in by_overlap.items():
-        survivors |= _at_least(planes, k, rows)
-    jaccards = {}
-    holders: set[int] = set()
-    while survivors:
-        low = survivors & -survivors
-        survivors ^= low
-        r = low.bit_length() - 1
-        inter = len(chars & index.row_chars[r])
-        union = n + len(index.row_chars[r]) - inter
-        jaccards[index.rows[r]] = inter / union if union else 1.0
-        holders.update(index.row_entries[r])
-    return jaccards, holders
+    every = (1 << len(index.rows)) - 1
+    at_least: dict[int, int] = {}
+    by_jaccard: dict[float, int] = {}
+    for jaccard, i, rows in table:
+        for count in (i, i + 1):
+            if count not in at_least:
+                at_least[count] = _at_least(planes, count, every)
+        rows &= at_least[i] & ~at_least[i + 1]
+        if rows:
+            by_jaccard[jaccard] = by_jaccard.get(jaccard, 0) | rows
+    union = 0
+    groups = []
+    for rows in by_jaccard.values():
+        at: dict[int, int] = {}
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            for k, entries in index.row_positions[low.bit_length() - 1]:
+                at[k] = at.get(k, 0) | entries
+        groups.append(sorted(at.items()))
+        for entries in at.values():
+            union |= entries
+    return union, groups
 
 
-def _pair_count(per_lemma: list[dict[str, float]], lemmas: LemmaSequence) -> int:
-    """Pairs the greedy pairing makes between the phrase and one entry.
-
-    ``per_lemma`` holds, for each phrase lemma in order, its Jaccard with
-    every lemma it can pair with.
-    """
-    free: list[str | None] = list(lemmas)
-    count = 0
-    for jaccards in per_lemma:
-        if jaccards.keys().isdisjoint(free):
-            continue
-        best_k = -1
-        best = -1.0
-        for k, lemma in enumerate(free):
-            cj = jaccards.get(lemma)
-            if cj is not None and cj > best:
-                best = cj
-                best_k = k
-        if best_k >= 0:
-            free[best_k] = None
-            count += 1
-    return count
-
-
-def score_counts(index: LabelIndex, seq: LemmaSequence, word_threshold: float):
+def pair_counts(index: LabelIndex, seq: LemmaSequence, word_threshold: float) -> list[int]:
     """Greedy fuzzy-match counts of one phrase against every index entry.
 
     Phrase lemmas are taken in order; each pairs with the unused entry lemma
     of maximal character Jaccard among those clearing ``word_threshold``,
-    earliest position winning ties. Returns dicts (m, d) from entry position
-    to the matched pair count and to |A| + |B| - m, holding exactly the
-    entries with m > 0; every other entry has m = 0 and d = |A| + |B|.
+    earliest position winning ties. Returns the counts as bit planes: the
+    count m of entry ``index.order[b]`` is the sum over ``i`` of bit ``b``
+    of ``planes[i]`` times ``2 ** i``, and [] when every entry has m = 0.
     """
-    per_lemma = []
-    candidates: set[int] = set()
+    free = list(index.unpaired)
+    paired = []
     for lemma in seq:
         key = (lemma, word_threshold)
         pairable = index.pairable.get(key)
         if pairable is None:
             pairable = index.pairable[key] = _pairable(index, lemma, word_threshold)
-        per_lemma.append(pairable[0])
-        candidates |= pairable[1]
-    # an entry holding a pairable row pairs at least once, and exactly once
-    # when either side has one lemma: only these entries can have m > 0, and
-    # the greedy pairing runs over those with two or more lemmas a side
-    m: dict[int, int] = {}
-    d: dict[int, int] = {}
-    n = len(seq)
-    entries = index.entries
-    for j in candidates:
-        lemmas = entries[j].lemmas
-        m[j] = count = 1 if n == 1 or len(lemmas) == 1 else _pair_count(per_lemma, lemmas)
-        d[j] = n + len(lemmas) - count
-    return m, d
+        union, groups = pairable
+        # ``left``: entries this lemma has yet to pair with. A lone phrase
+        # lemma pairs once with every entry in ``union``, so it skips the loop
+        left = union if len(seq) > 1 else 0
+        for group in groups:
+            if not left:
+                break
+            for k, cand in group:
+                take = cand & free[k] & left
+                if take:
+                    free[k] ^= take
+                    left ^= take
+        paired.append(union ^ left)
+    return _count_bits(paired)

@@ -10,6 +10,7 @@ flags, unwritable output), 2 internal invariant violation.
 
 import argparse
 import errno
+import functools
 import os
 import stat
 import sys
@@ -87,9 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call and kept: parsing leaves the parser as it was, and
+# _Repeatable builds new tuples instead of extending its default
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = RunConfig(
             ontology=args.ontology,

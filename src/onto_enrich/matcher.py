@@ -7,6 +7,7 @@ count m scores the sequences as m / (|A| + |B| - m). A phrase maps to the
 single best-scoring concept label at or above the sequence threshold.
 """
 
+from operator import itemgetter
 from typing import AbstractSet, Mapping, NamedTuple
 
 from . import _scoring
@@ -85,20 +86,41 @@ def match_phrase(
 def _best_entry(index: LabelIndex, seq: LemmaSequence,
                 config: MatchConfig) -> tuple[int, float] | None:
     """Position and score of the best entry for ``seq``, or None below threshold."""
-    m, d = _scoring.score_counts(index, seq, config.word_threshold)
-    if not m:
+    planes = _scoring.pair_counts(index, seq, config.word_threshold)
+    if not planes:
         # every entry scores 0.0; the lowest rank wins if 0.0 clears
-        if config.seq_threshold > 0.0:
-            return None
-        return index.rank.index(0), 0.0
-    scores = {j: m[j] / d[j] for j in m}
-    best = max(scores.values())
-    if best < config.seq_threshold:
-        return None
-    # m and d are small integers, so equal fractions give equal floats and
-    # different fractions different floats: == finds the exact ties
-    return min((j for j, score in scores.items() if score == best),
-               key=index.rank.__getitem__), best
+        return (index.order[0], 0.0) if config.seq_threshold <= 0.0 else None
+    walk = index.walks.get(len(seq))
+    if walk is None:
+        walk = index.walks[len(seq)] = _walk(index, len(seq))
+    paired = 0
+    for plane in planes:
+        paired |= plane
+    for score, counts in walk:
+        if score < config.seq_threshold:
+            break
+        # an entry with more than m pairs at its length scores higher, and
+        # every higher score was found empty, so "at least m" means "exactly m"
+        hit = 0
+        for m, lengths in counts:
+            hit |= _scoring._at_least(planes, m, paired) & lengths
+        if hit:
+            return index.order[(hit & -hit).bit_length() - 1], score
+    return None
+
+
+def _walk(index: LabelIndex, n: int) -> list[tuple[float, list[tuple[int, int]]]]:
+    """Every score m / (n + length - m) with m > 0, highest first.
+
+    Each score lists the (m, mask of the entries of that length) pairs that
+    give it. m and the lengths are small integers, so equal fractions (1/2
+    and 2/4) give equal floats and different fractions different floats.
+    """
+    by_score: dict[float, list[tuple[int, int]]] = {}
+    for length, entries in index.length_entries.items():
+        for m in range(1, min(n, length) + 1):
+            by_score.setdefault(m / (n + length - m), []).append((m, entries))
+    return sorted(by_score.items(), key=itemgetter(0), reverse=True)
 
 
 def match_question(

@@ -15,8 +15,8 @@ brute-force path oracle states that tie-break as a property: it lists every
 shortest path and takes the lexicographically smallest node sequence. The
 greedy pairing oracle scores one phrase against every entry with plain
 per-entry loops over sorted codepoint arrays, where the package's scorer
-counts shared characters for all rows at once in bitmasks and pairs only
-the entries that the overlap filter keeps. The JSON report oracle is the standard
+counts shared characters for all rows at once in bitmasks and pairs every
+entry at once over entry bitmasks. The JSON report oracle is the standard
 library's generic indenting encoder over a plain dict of the report, where
 the package writes the report's fixed schema directly.
 """

@@ -3,7 +3,8 @@ pinned checksums.
 
 ``benchmarks/bench_matching.py`` prints a checksum of the matched pair
 counts that is fixed by its seed; a change to the scorer that alters any
-result changes it. ``benchmarks/bench_paths.py`` prints a sha256 prefix of
+result changes it, at the default word threshold and at 0, where no label
+is pruned. ``benchmarks/bench_paths.py`` prints a sha256 prefix of
 every search's paths, so a change to the search that alters any path
 changes it. ``benchmarks/bench_io.py`` prints sha256 prefixes of the
 parsed triples' repr and of the JSON report bytes, so a change to the
@@ -30,6 +31,12 @@ def test_bench_matching_checksum(repo_root):
     stdout = _run_benchmark(repo_root, "bench_matching.py")
     assert "(checksum 660150)" in stdout
     assert "1000 index entries (20 distinct lemma rows)" in stdout
+
+
+def test_bench_matching_worst_case(repo_root):
+    # every word pairs with every word, so no label is pruned
+    stdout = _run_benchmark(repo_root, "bench_matching.py", "--word-threshold", "0")
+    assert "(checksum 3955542)" in stdout
 
 
 def test_bench_paths_checksum(repo_root):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from onto_enrich import cli
 from onto_enrich.cli import build_parser, main
 from onto_enrich.matcher import MatchConfig
 from onto_enrich.pipeline import RunConfig
@@ -76,6 +77,24 @@ class TestMain:
             REQUIRED_ARGS + ["--label-predicate", "p:b", "--label-predicate", "p:a"])
         assert args.label_predicates == ("p:b", "p:a")
         assert args.hierarchical_predicates == RunConfig._field_defaults["hierarchical_predicates"]
+
+    def test_kept_parser_gives_a_fresh_parsers_reports(self, in_repo_root, tmp_path,
+                                                        monkeypatch):
+        # the parser is built once per process; a repeatable flag in one call
+        # must not leak into the next, in either order
+        argvs = [FIXTURE_ARGS + ["--hierarchical-predicate", "ome:partOf"], FIXTURE_ARGS]
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_parser", build_parser)
+            expected = []
+            for k, argv in enumerate(argvs):
+                assert main(argv + ["--out", str(tmp_path / f"fresh{k}.json")]) == 0
+                expected.append((tmp_path / f"fresh{k}.json").read_bytes())
+        assert expected[0] != expected[1]
+        for k in (0, 1, 1, 0):
+            out = tmp_path / "kept.json"
+            assert main(argvs[k] + ["--out", str(out)]) == 0
+            assert out.read_bytes() == expected[k]
+        assert cli._parser() is cli._parser()
 
     def test_warning_goes_to_stderr(self, in_repo_root, tmp_path, capsys):
         ontology = tmp_path / "onto.nt"

@@ -216,6 +216,54 @@ class TestMatchPhrase:
             assert match.score == float(score)
 
 
+# Against "abcd", "ab" shares 2 of 4 characters and "abcxy" 3 of 6, so both
+# have Jaccard 1/2 from different (overlap, size) groups; against "ab", "a"
+# (1 of 2) and "abcd" (2 of 4) do too. Short labels drawn from a few lemmas
+# repeat a lemma at several positions, and phrases run longer than labels.
+GROUP_VOCAB = ["abcd", "ab", "abcxy", "abc", "abd", "cd", "a", "x"]
+group_phrases = st.lists(st.sampled_from(GROUP_VOCAB), min_size=1, max_size=6).map(tuple)
+group_entries = st.lists(
+    st.tuples(st.sampled_from(["c:a", "c:b", "c:c"]), st.sampled_from(["x", "y", "z"]),
+              st.lists(st.sampled_from(GROUP_VOCAB[:5]), min_size=1, max_size=4).map(tuple)),
+    min_size=1, max_size=10, unique_by=lambda e: e[:2])
+group_configs = st.builds(
+    MatchConfig,
+    st.one_of(st.sampled_from([0.0, 0.4, 0.5, 0.6, 0.75, 1.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]), st.floats(0.0, 1.0)))
+
+
+class TestBitParallelWinner:
+    """The greedy pairing over entry bitmasks and the walk over scores pick
+    exactly the label that exact ``Fraction`` scores and the tie-break pick."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(group_phrases, group_entries, group_configs)
+    # one lemma pairs once with a label that repeats it: 1.0 beats 1/2
+    @example(("ab", "ab"), [("c:b", "x", ("ab",)), ("c:a", "x", ("ab", "ab"))],
+             MatchConfig(1.0, 0.0))
+    # "ab" ties "abc" and "abd" at 2/3 and takes the earlier, starving "abc"
+    @example(("ab", "abc"), [("c:a", "x", ("abc", "abd"))], MatchConfig(0.6, 0.0))
+    # "abcd" ties "abcxy" (3/6) and "ab" (2/4) and takes the earlier, which
+    # leaves "ab" its exact match
+    @example(("abcd", "ab"), [("c:a", "x", ("cd",)), ("c:b", "x", ("abcxy", "ab"))],
+             MatchConfig(0.5, 0.0))
+    # 1/2 from (m, length) = (1, 1) ties 2/4 from (2, 4): the shorter label wins
+    @example(("ab", "abc"), [("c:b", "x", ("ab",)), ("c:a", "x", ("ab", "abc", "x", "x"))],
+             MatchConfig(1.0, 0.0))
+    # equal labels fall to the smaller iri, not to the earlier entry
+    @example(("ab",), [("c:b", "x", ("ab",)), ("c:a", "x", ("ab",))], MatchConfig(1.0, 0.5))
+    def test_agrees_with_fraction_brute_force(self, seq, entries, config):
+        index = _index(*entries)
+        match = match_phrase(_phrase(" ".join(seq)), seq, index, config)
+        expected = _brute_force_match(seq, index.entries, config)
+        if expected is None:
+            assert match is None
+        else:
+            entry, score = expected
+            assert (match.concept_iri, match.matched_label) == (entry.iri, entry.label)
+            assert match.score == float(score)
+
+
 class TestMatchQuestion:
     CFG = MatchConfig()
 
@@ -302,15 +350,15 @@ class TestMemo:
     def test_matches_oracle_and_scores_each_key_once(self, pool, bank, entries, first, second):
         index = _index(*entries)
         calls = []
-        score_counts = _scoring.score_counts
+        pair_counts = _scoring.pair_counts
 
         def counted(idx, seq, word_threshold):
             calls.append((idx, seq, word_threshold))
-            return score_counts(idx, seq, word_threshold)
+            return pair_counts(idx, seq, word_threshold)
 
         questions = _questions(pool, bank)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_scoring, "score_counts", counted)
+            mp.setattr(_scoring, "pair_counts", counted)
             # the second config runs between two passes of the first over
             # one shared index, so a result leaking across configs shows
             for config in (first, second, first):
@@ -346,11 +394,11 @@ class TestMemo:
         cfg = MatchConfig(1.0, 0.5)
         match_phrase(_phrase("a"), ("a",), index, cfg)
         view = index.for_run()
-        assert (view.pairable, view.memo) == ({}, {})
-        assert index.memo and index.pairable
+        assert (view.pairable, view.overlaps, view.memo, view.walks) == ({}, {}, {}, {})
+        assert index.memo and index.pairable and index.overlaps and index.walks
         assert all(getattr(view, name) is getattr(index, name)
-                   for name in ("entries", "rows", "row_chars", "row_entries",
-                                "char_rows", "size_rows", "rank"))
+                   for name in ("entries", "rows", "char_rows", "size_rows", "order",
+                                "row_positions", "length_entries", "unpaired"))
         match_phrase(_phrase("c"), ("c",), view, cfg)
         assert set(view.memo) == {(("c",), 1.0, 0.5)}
         assert set(index.memo) == {(("a",), 1.0, 0.5)}

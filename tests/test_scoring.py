@@ -1,11 +1,11 @@
 """Properties of the packed label index and its scorer.
 
-``score_counts`` filters the rows a phrase lemma can pair with through
-bit-sliced overlap counts and pairs only the entries holding one; its
-integer (m, d) outputs, with absent entries counting as m = 0, must equal
-those of the per-entry loop reference in ``oracles`` and give m / d ==
-seq_similarity for every entry, so reports never depend on how the pairing
-is computed.
+``pair_counts`` filters the rows a phrase lemma can pair with through
+bit-sliced overlap counts and runs the greedy pairing for every entry at
+once over entry bitmasks; the per-entry pair counts m decoded from its bit
+planes, with d = |A| + |B| - m, must equal those of the per-entry loop
+reference in ``oracles`` and give m / d == seq_similarity for every entry,
+so reports never depend on how the pairing is computed.
 """
 
 from collections import Counter
@@ -20,7 +20,7 @@ from onto_enrich._scoring import (
     _at_least,
     _count_bits,
     _pairable,
-    score_counts,
+    pair_counts,
 )
 from onto_enrich.errors import EmptySequenceError
 from oracles import char_jaccard, reference_counts, seq_similarity
@@ -63,12 +63,15 @@ def _index(entries):
 
 
 def _dense_counts(phrase, entries, threshold):
-    """``score_counts`` as per-entry lists, absent entries at m = 0."""
-    m, d = score_counts(_index(entries), phrase, threshold)
-    assert set(m) == set(d) <= set(range(len(entries)))
-    assert all(count > 0 for count in m.values())
-    return ([m.get(j, 0) for j in range(len(entries))],
-            [d.get(j, len(phrase) + len(entry)) for j, entry in enumerate(entries)])
+    """``pair_counts`` decoded into per-entry lists of m and d."""
+    index = _index(entries)
+    planes = pair_counts(index, phrase, threshold)
+    # no plane holds a bit past the entries, and the top plane is not empty
+    assert planes[-1:] != [0] and all(plane >> len(entries) == 0 for plane in planes)
+    m = [0] * len(entries)
+    for b, j in enumerate(index.order):
+        m[j] = sum((plane >> b & 1) << i for i, plane in enumerate(planes))
+    return m, [len(phrase) + len(entry) - mj for mj, entry in zip(m, entries)]
 
 
 def _assert_matches_reference(phrase, entries, threshold):
@@ -86,33 +89,38 @@ class TestEncoding:
     def test_encode_sequence(self):
         index = _index([("ba", "aab")])
         assert index.rows == ["ba", "aab"]
-        assert index.row_chars == [frozenset("ab"), frozenset("ab")]
         assert index.char_rows == {"a": 0b11, "b": 0b11}
         assert index.size_rows == {2: 0b11}
 
     def test_encode_empty(self):
         index = _index([])
-        assert index.rows == [] and index.row_entries == []
+        assert index.rows == [] and index.row_positions == []
         assert index.char_rows == {} and index.size_rows == {}
-        assert index.rank == []
+        assert index.order == [] and index.length_entries == {}
+        assert index.unpaired == ()
 
     def test_index_shape(self):
-        index = _index([("ab",), ("a", "b")])
-        assert index.rows == ["ab", "a", "b"]
-        assert index.row_entries == [[0], [1], [1]]
-        assert index.char_rows == {"a": 0b011, "b": 0b101}
-        assert index.size_rows == {2: 0b001, 1: 0b110}
-        # rank orders by lemma count first
-        assert index.rank == [0, 1]
+        index = _index([("a", "b"), ("ab",)])
+        assert index.rows == ["a", "b", "ab"]
+        assert index.char_rows == {"a": 0b101, "b": 0b110}
+        assert index.size_rows == {1: 0b011, 2: 0b100}
+        # the order is by lemma count first, and entry bit b is entry order[b]
+        assert index.order == [1, 0]
+        assert index.row_positions == [((0, 0b10),), ((1, 0b10),), ((0, 0b01),)]
+        assert index.length_entries == {1: 0b01, 2: 0b10}
+        assert index.unpaired == (0b11, 0b11)
 
 
 class TestDistinctRows:
-    """Equal lemmas share one row, which lists every entry holding it."""
+    """Equal lemmas share one row, which masks every entry holding it, per position."""
 
     def test_shared_lemma_packed_once(self):
         index = _index([("line", "angle"), ("line",), ("angle", "line")])
         assert index.rows == ["line", "angle"]
-        assert index.row_entries == [[0, 1, 2], [0, 2]]
+        # entries 1, 0, 2 are bits 0, 1, 2
+        assert index.order == [1, 0, 2]
+        assert [dict(at) for at in index.row_positions] == [
+            {0: 0b011, 1: 0b100}, {0: 0b100, 1: 0b010}]
         assert index.size_rows == {4: 0b01, 5: 0b10}
 
     @SETTINGS
@@ -128,9 +136,17 @@ class TestDistinctRows:
         index = _index(entries)
         distinct = list(dict.fromkeys(lemma for entry in entries for lemma in entry))
         assert index.rows == distinct
-        assert index.row_chars == [frozenset(lemma) for lemma in distinct]
-        assert index.row_entries == [
-            [j for j, entry in enumerate(entries) if lemma in entry] for lemma in distinct]
+        order = sorted(range(len(entries)),
+                       key=lambda j: (len(entries[j]), f"c:{j}", f"label {j}"))
+        assert index.order == order
+        assert [dict(at) for at in index.row_positions] == [
+            {k: _mask(b for b, j in enumerate(order) if entries[j][k:k + 1] == (lemma,))
+             for k in range(max(map(len, entries)))
+             if any(entry[k:k + 1] == (lemma,) for entry in entries)}
+            for lemma in distinct]
+        assert index.length_entries == {
+            length: _mask(b for b, j in enumerate(order) if len(entries[j]) == length)
+            for length in set(map(len, entries))}
         assert index.char_rows == {
             c: _mask(r for r, lemma in enumerate(distinct) if c in lemma)
             for c in set("".join(distinct))}
@@ -164,12 +180,23 @@ class TestBitSlicing:
            thresholds)
     def test_filter_keeps_exactly_the_pairable_rows(self, lemma, entries, threshold):
         index = _index(entries)
-        jaccards, holders = _pairable(index, lemma, threshold)
+        union, groups = _pairable(index, lemma, threshold)
         expected = {row: char_jaccard(lemma, row) for row in index.rows
                     if char_jaccard(lemma, row) >= threshold}
-        assert jaccards == expected
-        assert holders == {j for j, entry in enumerate(entries)
-                           if not expected.keys().isdisjoint(entry)}
+
+        def jaccard_at(entry, k):
+            return expected.get(entry[k]) if k < len(entry) else None
+
+        # one group per distinct Jaccard, highest first; in each, the entries
+        # holding a lemma of that Jaccard at position k, ascending k
+        assert groups == [
+            [(k, _mask(b for b, j in enumerate(index.order)
+                       if jaccard_at(entries[j], k) == jaccard))
+             for k in range(max(map(len, entries)))
+             if any(jaccard_at(entry, k) == jaccard for entry in entries)]
+            for jaccard in sorted(set(expected.values()), reverse=True)]
+        assert union == _mask(b for b, j in enumerate(index.order)
+                              if not expected.keys().isdisjoint(entries[j]))
 
 
 class TestBackendEquivalence:
@@ -209,12 +236,12 @@ class TestBackendEquivalence:
     @SETTINGS
     @given(entry_lists, thresholds)
     def test_empty_phrase(self, entries, threshold):
-        assert score_counts(_index(entries), (), threshold) == ({}, {})
+        assert pair_counts(_index(entries), (), threshold) == []
 
     @SETTINGS
     @given(sequences, thresholds)
     def test_empty_index(self, phrase, threshold):
-        assert score_counts(_index([]), phrase, threshold) == ({}, {})
+        assert pair_counts(_index([]), phrase, threshold) == []
 
     @SETTINGS
     @given(outside_sequences, entry_lists, thresholds)
