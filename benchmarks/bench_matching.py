@@ -3,17 +3,20 @@
 
 Builds a synthetic label index and phrase set shaped like a real deployment
 (hundreds of concepts, thousands of phrases), packs the index once, and
-times ``pair_counts`` over every phrase. The checksum (total matched pairs,
-decoded from the bit planes) is fixed by the seed, so a change to the scorer
-that alters its results shows as a different checksum at the same
-arguments. Every phrase is scored afresh: the matcher's per-sequence memo is
-not involved. The index packs one row per distinct lemma, printed beside the
-entry count; the 20-word vocabulary gives far fewer rows than real labels
-do, which flatters the packing here. It also makes nearly every label share
-a word with every phrase, so the overlap filter prunes little and the score
-time is mostly the greedy pairing of the labels that survive it;
-``--word-threshold 0``, where every word pairs with every word, is the worst
-case.
+times ``pair_counts`` over every phrase through one ``Scorer``, as one run
+would. The checksum (total matched pairs, decoded from the bit planes) is
+fixed by the seed, so a change to the scorer that alters its results shows
+as a different checksum at the same arguments. Every phrase's greedy pairing
+runs afresh, since ``pair_counts`` bypasses the scorer's per-sequence winner
+memo; the per-lemma Jaccard groups and the overlap tables per character
+count are memoised in the scorer, so each of the 20 words is filtered
+against the index once. The index packs one row per distinct lemma, printed
+beside the entry count; the 20-word vocabulary gives far fewer rows than
+real labels do, which flatters the packing here. It also makes nearly every
+label share a word with every phrase, so the overlap filter prunes little
+and the score time is mostly the greedy pairing of the labels that survive
+it; ``--word-threshold 0``, where every word pairs with every word, is the
+worst case.
 
 Usage: PYTHONPATH=src python benchmarks/bench_matching.py [--entries N] [--phrases N]
        [--word-threshold T]
@@ -23,7 +26,8 @@ import argparse
 import random
 import time
 
-from onto_enrich._scoring import IndexEntry, LabelIndex, pair_counts
+from onto_enrich._scoring import IndexEntry, LabelIndex, Scorer, pair_counts
+from onto_enrich.matcher import MatchConfig
 
 VOCABULARY = [
     "triangle", "quadrilateral", "perpendicular", "segment", "middle", "line",
@@ -56,9 +60,10 @@ def main():
     packed = time.perf_counter()
     print(f"{args.entries} index entries ({len(index.rows)} distinct lemma rows) "
           f"x {args.phrases} phrases, word threshold {args.word_threshold}")
+    scorer = Scorer(index, args.word_threshold, MatchConfig().seq_threshold)
     checksum = 0
     for seq in phrases:
-        planes = pair_counts(index, seq, args.word_threshold)
+        planes = pair_counts(scorer, seq)
         checksum += sum(plane.bit_count() << b for b, plane in enumerate(planes))
     scored = time.perf_counter()
     print(f"   pack: {packed - started:8.3f} s")

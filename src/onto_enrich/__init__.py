@@ -9,7 +9,7 @@ surface as candidate new relations for expert review.
 
 __version__ = "0.1.0"
 
-from ._scoring import IndexEntry, LabelIndex
+from ._scoring import IndexEntry, LabelIndex, Scorer
 from .corpus import (
     Answer,
     AnswerKind,
@@ -85,6 +85,7 @@ __all__ = [
     "match_question",
     "IndexEntry",
     "LabelIndex",
+    "Scorer",
     "Literal",
     "OntologyGraph",
     "RelationEdge",

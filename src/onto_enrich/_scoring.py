@@ -16,7 +16,8 @@ holding that row at that position. ``pair_counts`` then runs the greedy
 pairing for every entry at once, one mask operation per (Jaccard group,
 position), and keeps the per-entry pair counts as bit planes
 (bit-parallelism in the sense of Myers, JACM 1999). The lowest set bit of a
-mask is the entry that wins a tie.
+mask is the entry that wins a tie. A ``Scorer`` does one run's matching with
+memos of its own, so the index is never written after construction.
 """
 
 from operator import itemgetter
@@ -49,18 +50,8 @@ class LabelIndex:
     mask of the entries with ``n`` lemmas, and ``unpaired`` holds one mask
     of every entry per position, the free positions before any pairing.
 
-    The packed tables never change after construction, so one index can
-    outlive a run and serve many: ``pipeline.run`` keeps the last one it
-    built. The memos cannot outlive a run: they hold its work and grow with
-    it. ``for_run`` gives each run a view that shares the tables and has
-    empty memos of its own. ``pairable`` maps (lemma, word_threshold) to the
-    entries that the lemma can pair with (``_pairable``), and ``overlaps``
-    maps (character count, word_threshold) to the (Jaccard, overlap, rows)
-    table it reads. ``memo`` and ``walks`` are filled by ``matcher``:
-    ``memo`` maps (lemma sequence, word_threshold, seq_threshold) to the
-    winning entry's position and score, or None when no label clears the
-    threshold, and ``walks`` maps a phrase length to its scores in
-    descending order.
+    The tables never change after construction, so ``pipeline.run`` keeps one
+    index for many runs; each run's memos live in its own ``Scorer``.
     """
 
     def __init__(self, entries: Iterable[IndexEntry]):
@@ -89,19 +80,39 @@ class LabelIndex:
         self.length_entries = _masks(
             [(len(entries[j].lemmas),) for j in self.order], len(entries))
         self.unpaired = ((1 << len(entries)) - 1,) * max(self.length_entries, default=0)
-        self.pairable: dict[tuple[str, float], tuple[int, list[list[tuple[int, int]]]]] = {}
-        self.overlaps: dict[tuple[int, float], list[tuple[float, int, int]]] = {}
-        self.memo: dict[tuple[LemmaSequence, float, float], tuple[int, float] | None] = {}
-        self.walks: dict[int, list[tuple[float, list[tuple[int, int]]]]] = {}
-
-    def for_run(self) -> "LabelIndex":
-        """This index with empty memos of its own; the tables are shared."""
-        view = object.__new__(LabelIndex)
-        view.__dict__.update(self.__dict__, pairable={}, overlaps={}, memo={}, walks={})
-        return view
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+class Scorer:
+    """Matching against ``index`` at fixed thresholds, for one run.
+
+    The memos hold one run's work and grow with it; the index is shared and
+    never written. ``pairable`` maps a lemma to its ``_pairable`` groups,
+    ``overlaps`` a character count to its ``_overlaps`` table, ``walks`` a
+    phrase length to its ``_walk`` and ``winners`` a lemma sequence to what
+    ``best`` gave. No key holds a threshold: a scorer's never change.
+    """
+
+    def __init__(self, index: LabelIndex, word_threshold: float, seq_threshold: float):
+        self.index = index
+        self.word_threshold = word_threshold
+        self.seq_threshold = seq_threshold
+        self.pairable: dict[str, tuple[int, list[list[tuple[int, int]]]]] = {}
+        self.overlaps: dict[int, list[tuple[float, int, int]]] = {}
+        self.walks: dict[int, list[tuple[float, list[tuple[int, int]]]]] = {}
+        self.winners: dict[LemmaSequence, tuple[IndexEntry, float] | None] = {}
+
+    def best(self, seq: LemmaSequence) -> tuple[IndexEntry, float] | None:
+        """The best entry for ``seq`` and its score, or None below the sequence
+        threshold; equal scores fall to the lowest rank (``LabelIndex.order``)."""
+        if not self.index.entries:
+            return None
+        winners = self.winners
+        if seq not in winners:
+            winners[seq] = _best_entry(self, seq)
+        return winners[seq]
 
 
 def _masks(keys_per_row: Iterable[Iterable], n_rows: int) -> dict:
@@ -169,21 +180,21 @@ def _overlaps(size_rows: dict[int, int], n: int,
     return sorted((t for t in table if t[0] >= word_threshold), key=itemgetter(0), reverse=True)
 
 
-def _pairable(index: LabelIndex, lemma: str,
-              word_threshold: float) -> tuple[int, list[list[tuple[int, int]]]]:
+def _pairable(scorer: Scorer, lemma: str) -> tuple[int, list[list[tuple[int, int]]]]:
     """Entries that ``lemma`` can pair with, grouped by character Jaccard.
 
     Returns the mask of the entries holding a row lemma whose Jaccard with
-    ``lemma`` clears ``word_threshold``, and one group per distinct Jaccard
+    ``lemma`` clears the word threshold, and one group per distinct Jaccard
     value, highest first. A group lists, by ascending position k, the mask
     of the entries holding a row of that Jaccard at k. Equal floats from
     different (overlap, size) pairs, such as 2/4 and 3/6, form one group.
     """
+    index = scorer.index
     chars = frozenset(lemma)
-    key = (len(chars), word_threshold)
-    table = index.overlaps.get(key)
+    table = scorer.overlaps.get(len(chars))
     if table is None:
-        table = index.overlaps[key] = _overlaps(index.size_rows, *key)
+        table = scorer.overlaps[len(chars)] = _overlaps(
+            index.size_rows, len(chars), scorer.word_threshold)
     # characters outside the index alphabet intersect nothing
     planes = _count_bits(index.char_rows[c] for c in chars if c in index.char_rows)
     every = (1 << len(index.rows)) - 1
@@ -211,22 +222,22 @@ def _pairable(index: LabelIndex, lemma: str,
     return union, groups
 
 
-def pair_counts(index: LabelIndex, seq: LemmaSequence, word_threshold: float) -> list[int]:
+def pair_counts(scorer: Scorer, seq: LemmaSequence) -> list[int]:
     """Greedy fuzzy-match counts of one phrase against every index entry.
 
     Phrase lemmas are taken in order; each pairs with the unused entry lemma
-    of maximal character Jaccard among those clearing ``word_threshold``,
+    of maximal character Jaccard among those clearing the word threshold,
     earliest position winning ties. Returns the counts as bit planes: the
-    count m of entry ``index.order[b]`` is the sum over ``i`` of bit ``b``
-    of ``planes[i]`` times ``2 ** i``, and [] when every entry has m = 0.
+    count m of entry ``scorer.index.order[b]`` is the sum over ``i`` of bit
+    ``b`` of ``planes[i]`` times ``2 ** i``, and [] when every entry has m = 0.
     """
-    free = list(index.unpaired)
+    free = list(scorer.index.unpaired)
+    memo = scorer.pairable
     paired = []
     for lemma in seq:
-        key = (lemma, word_threshold)
-        pairable = index.pairable.get(key)
+        pairable = memo.get(lemma)
         if pairable is None:
-            pairable = index.pairable[key] = _pairable(index, lemma, word_threshold)
+            pairable = memo[lemma] = _pairable(scorer, lemma)
         union, groups = pairable
         # ``left``: entries this lemma has yet to pair with. A lone phrase
         # lemma pairs once with every entry in ``union``, so it skips the loop
@@ -241,3 +252,43 @@ def pair_counts(index: LabelIndex, seq: LemmaSequence, word_threshold: float) ->
                     left ^= take
         paired.append(union ^ left)
     return _count_bits(paired)
+
+
+def _best_entry(scorer: Scorer, seq: LemmaSequence) -> tuple[IndexEntry, float] | None:
+    """The best entry for ``seq`` and its score, or None below threshold."""
+    index = scorer.index
+    planes = pair_counts(scorer, seq)
+    if not planes:
+        # every entry scores 0.0; the lowest rank wins if 0.0 clears
+        return (index.entries[index.order[0]], 0.0) if scorer.seq_threshold <= 0.0 else None
+    walk = scorer.walks.get(len(seq))
+    if walk is None:
+        walk = scorer.walks[len(seq)] = _walk(index, len(seq))
+    paired = 0
+    for plane in planes:
+        paired |= plane
+    for score, counts in walk:
+        if score < scorer.seq_threshold:
+            break
+        # an entry with more than m pairs at its length scores higher, and
+        # every higher score was found empty, so "at least m" means "exactly m"
+        hit = 0
+        for m, lengths in counts:
+            hit |= _at_least(planes, m, paired) & lengths
+        if hit:
+            return index.entries[index.order[(hit & -hit).bit_length() - 1]], score
+    return None
+
+
+def _walk(index: LabelIndex, n: int) -> list[tuple[float, list[tuple[int, int]]]]:
+    """Every score m / (n + length - m) with m > 0, highest first.
+
+    Each score lists the (m, mask of the entries of that length) pairs that
+    give it. m and the lengths are small integers, so equal fractions (1/2
+    and 2/4) give equal floats and different fractions different floats.
+    """
+    by_score: dict[float, list[tuple[int, int]]] = {}
+    for length, entries in index.length_entries.items():
+        for m in range(1, min(n, length) + 1):
+            by_score.setdefault(m / (n + length - m), []).append((m, entries))
+    return sorted(by_score.items(), key=itemgetter(0), reverse=True)

@@ -9,7 +9,7 @@ calling thread.
 
 The graph and label index are kept from the last run whose ontology load
 succeeded, and reused while every input they depend on is equal, by
-content: see ``_load_ontology``.
+content: see ``_load_ontology``. Each run's memos live in its own ``Scorer``.
 """
 
 import csv
@@ -25,6 +25,7 @@ except ImportError:
     from json.encoder import py_encode_basestring as encode_basestring
 
 from . import __version__
+from ._scoring import Scorer
 from .corpus import extract_phrases, parse_corpus
 from .errors import InternalInvariantError, OntoEnrichError
 from .matcher import ConceptMatch, MatchConfig, match_question
@@ -121,12 +122,9 @@ def run(config: RunConfig) -> Report:
     with _file_context(config.corpus):
         questions = parse_corpus(Path(config.corpus).read_bytes())
     lexicon, stoplist, graph, index, warnings = _load_ontology(config)
-    index = index.for_run()  # the memos live one run; the shared tables do not change
+    scorer = Scorer(index, *config.match)  # the run's memos; the kept index is never written
 
-    matches = [
-        match_question(extract_phrases(q), index, lexicon, stoplist, config.match)
-        for q in questions
-    ]
+    matches = [match_question(extract_phrases(q), scorer, lexicon, stoplist) for q in questions]
 
     by_source: dict[str, dict[str, set[str]]] = {}
     for per_question in matches:

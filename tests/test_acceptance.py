@@ -9,9 +9,9 @@ import time
 
 import numpy as np
 
-from onto_enrich import parse_corpus
+from onto_enrich import Scorer, parse_corpus
 from onto_enrich.corpus import PhraseKind, PhraseSource, extract_phrases
-from onto_enrich.matcher import MatchConfig, match_question
+from onto_enrich.matcher import match_question
 from onto_enrich.pathfinder import EdgeFilter, shortest_path
 from onto_enrich.pipeline import RunConfig, run, serialize_report
 from oracles import char_jaccard, graph_distances, lemma, random_typed_graph, seq_similarity
@@ -194,7 +194,7 @@ def test_criterion_7_normalization(repo_root, fixture_lexicon, fixture_index,
     phrase = MarkedPhrase("q", PhraseKind.PP, "of the", PhraseSource.QUESTION_TEXT, 0)
     # seq_threshold 0 would accept any attempted match, so an empty result
     # proves the stoplisted phrase was never scored at all
-    matches = match_question([phrase], fixture_index, fixture_lexicon, fixture_stoplist,
-                             MatchConfig(0.75, 0.0))
+    matches = match_question([phrase], Scorer(fixture_index, 0.75, 0.0), fixture_lexicon,
+                             fixture_stoplist)
     assert matches == []
     assert calls == []

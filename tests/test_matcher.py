@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onto_enrich import _scoring
-from onto_enrich._scoring import IndexEntry, LabelIndex
+from onto_enrich._scoring import IndexEntry, LabelIndex, Scorer
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import EmptySequenceError
 from onto_enrich.matcher import ConceptMatch, MatchConfig, match_phrase, match_question
@@ -47,6 +47,19 @@ def _brute_force_match(seq, entries, config):
     best = min((e for score, e in scored if score == top),
                key=lambda e: (len(e.lemmas), e.iri, e.label))
     return best, top
+
+
+def _assert_best_match(seq, entries, config):
+    """``match_phrase`` picks the label ``_brute_force_match`` picks."""
+    index = _index(*entries)
+    match = match_phrase(_phrase(" ".join(seq)), seq, Scorer(index, *config))
+    expected = _brute_force_match(seq, index.entries, config)
+    if expected is None:
+        assert match is None
+    else:
+        entry, score = expected
+        assert (match.concept_iri, match.matched_label) == (entry.iri, entry.label)
+        assert match.score == float(score)
 
 
 class TestCharJaccard:
@@ -102,28 +115,28 @@ class TestMatchPhrase:
     def test_partial_overlap_with_longer_label(self):
         index = _index(("c:TriangleMiddleLine", "Triangle middle line",
                         ("triangle", "middle", "line")))
-        match = match_phrase(_phrase("middle lines"), ("middle", "line"), index, self.CFG)
+        match = match_phrase(_phrase("middle lines"), ("middle", "line"), Scorer(index, *self.CFG))
         assert match is not None
         assert match.concept_iri == "c:TriangleMiddleLine"
         assert match.score == 2 / 3
 
     def test_exact_match_scores_one(self):
         index = _index(("c:RightAngle", "Right angle", ("right", "angle")))
-        match = match_phrase(_phrase("right angles"), ("right", "angle"), index, self.CFG)
+        match = match_phrase(_phrase("right angles"), ("right", "angle"), Scorer(index, *self.CFG))
         assert match.score == 1.0
         assert match.matched_label == "Right angle"
 
     def test_no_match_below_threshold(self, fixture_index):
         match = match_phrase(
-            _phrase("dodecahedron"), ("dodecahedron",), fixture_index, self.CFG)
+            _phrase("dodecahedron"), ("dodecahedron",), Scorer(fixture_index, *self.CFG))
         assert match is None
 
     def test_empty_index(self):
-        assert match_phrase(_phrase("line"), ("line",), _index(), self.CFG) is None
+        assert match_phrase(_phrase("line"), ("line",), Scorer(_index(), *self.CFG)) is None
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptySequenceError):
-            match_phrase(_phrase("of the"), (), _index(), self.CFG)
+            match_phrase(_phrase("of the"), (), Scorer(_index(), *self.CFG))
 
     def test_tie_shorter_label_wins(self):
         # both score 1/2 == 2/4; the two-lemma label must win despite larger iri
@@ -131,7 +144,7 @@ class TestMatchPhrase:
             ("c:A", "aa bb cc dd", ("aa", "bb", "cc", "dd")),
             ("c:Z", "aa", ("aa",)),
         )
-        match = match_phrase(_phrase("aa bb"), ("aa", "bb"), index, self.CFG)
+        match = match_phrase(_phrase("aa bb"), ("aa", "bb"), Scorer(index, *self.CFG))
         assert match.score == 0.5
         assert match.concept_iri == "c:Z"
 
@@ -140,7 +153,7 @@ class TestMatchPhrase:
             ("c:B", "line", ("line",)),
             ("c:A", "line", ("line",)),
         )
-        match = match_phrase(_phrase("line"), ("line",), index, self.CFG)
+        match = match_phrase(_phrase("line"), ("line",), Scorer(index, *self.CFG))
         assert match.concept_iri == "c:A"
 
     def test_tie_smaller_label_wins(self):
@@ -148,7 +161,7 @@ class TestMatchPhrase:
             ("c:A", "b a", ("b", "a")),
             ("c:A", "a b", ("a", "b")),
         )
-        match = match_phrase(_phrase("a b"), ("a", "b"), index, self.CFG)
+        match = match_phrase(_phrase("a b"), ("a", "b"), Scorer(index, *self.CFG))
         assert match.matched_label == "a b"
 
     def test_zero_threshold_without_pairs_takes_lowest_rank(self):
@@ -159,7 +172,7 @@ class TestMatchPhrase:
             ("c:C", "w", ("w",)),
             ("c:A", "v", ("v",)),
         )
-        match = match_phrase(_phrase("z"), ("z",), index, MatchConfig(0.75, 0.0))
+        match = match_phrase(_phrase("z"), ("z",), Scorer(index, 0.75, 0.0))
         assert (match.concept_iri, match.matched_label, match.score) == ("c:A", "v", 0.0)
 
     def test_score_meets_threshold_invariant(self, fixture_index):
@@ -168,7 +181,7 @@ class TestMatchPhrase:
         for _ in range(100):
             seq = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
             cfg = MatchConfig(rng.random(), rng.random())
-            match = match_phrase(_phrase(" ".join(seq)), seq, fixture_index, cfg)
+            match = match_phrase(_phrase(" ".join(seq)), seq, Scorer(fixture_index, *cfg))
             if match is not None:
                 assert match.score >= cfg.seq_threshold
 
@@ -188,7 +201,7 @@ class TestMatchPhrase:
                 key = (-score, len(e.lemmas), e.iri, e.label)
                 if best is None or key < best[0]:
                     best = (key, e, score)
-            match = match_phrase(_phrase(" ".join(seq)), seq, fixture_index, cfg)
+            match = match_phrase(_phrase(" ".join(seq)), seq, Scorer(fixture_index, *cfg))
             if best is None:
                 assert match is None
             else:
@@ -205,15 +218,7 @@ class TestMatchPhrase:
     @example(("aa", "ab", "abc"), [("c:a", "y", ("aa", "ab", "лин", "bc", "линия")),
                                    ("c:a", "x", ("ab",))], MatchConfig(1.0, 0.0))
     def test_agrees_with_fraction_brute_force(self, seq, entries, config):
-        index = _index(*entries)
-        match = match_phrase(_phrase(" ".join(seq)), seq, index, config)
-        expected = _brute_force_match(seq, index.entries, config)
-        if expected is None:
-            assert match is None
-        else:
-            entry, score = expected
-            assert (match.concept_iri, match.matched_label) == (entry.iri, entry.label)
-            assert match.score == float(score)
+        _assert_best_match(seq, entries, config)
 
 
 # Against "abcd", "ab" shares 2 of 4 characters and "abcxy" 3 of 6, so both
@@ -226,6 +231,32 @@ group_entries = st.lists(
     st.tuples(st.sampled_from(["c:a", "c:b", "c:c"]), st.sampled_from(["x", "y", "z"]),
               st.lists(st.sampled_from(GROUP_VOCAB[:5]), min_size=1, max_size=4).map(tuple)),
     min_size=1, max_size=10, unique_by=lambda e: e[:2])
+
+
+# "abcd" has Jaccard 1/2 with "ab" and "cd" (2 of 4) and with "abcxy" (3 of
+# 6): one Jaccard from two (overlap, size) pairs. Of the lemmas after it,
+# "ab" and "cd" pair with "abcxy" only up to word thresholds 2/5 and 1/6,
+# "d" pairs only with "cd", and "xy" only with "abcxy".
+TIED_ROWS = ["ab", "cd", "abcxy"]
+
+
+@st.composite
+def size_order_banks(draw):
+    """(phrase, entries): the phrase starts with "abcd", and the entries,
+    made of ``TIED_ROWS``, follow one that lists ``TIED_ROWS`` in a drawn
+    order. Rows are numbered by first occurrence, so that order is the order
+    in which row sizes first appear, which ``_overlaps`` keeps among the
+    (overlap, size) pairs of one Jaccard."""
+    iris = st.sampled_from(["c:a", "c:b", "c:c"])
+    lead = (draw(iris), "w", tuple(draw(st.permutations(TIED_ROWS))))
+    entries = draw(st.lists(
+        st.tuples(iris, st.sampled_from(["x", "y", "z"]),
+                  st.lists(st.sampled_from(TIED_ROWS), min_size=2, max_size=3).map(tuple)),
+        min_size=1, max_size=4, unique_by=lambda e: e[:2]))
+    tail = draw(st.lists(st.sampled_from([*TIED_ROWS, "d", "xy"]), min_size=1, max_size=2))
+    return ("abcd", *tail), [lead, *entries]
+
+
 group_configs = st.builds(
     MatchConfig,
     st.one_of(st.sampled_from([0.0, 0.4, 0.5, 0.6, 0.75, 1.0]), st.floats(0.0, 1.0)),
@@ -253,15 +284,14 @@ class TestBitParallelWinner:
     # equal labels fall to the smaller iri, not to the earlier entry
     @example(("ab",), [("c:b", "x", ("ab",)), ("c:a", "x", ("ab",))], MatchConfig(1.0, 0.5))
     def test_agrees_with_fraction_brute_force(self, seq, entries, config):
-        index = _index(*entries)
-        match = match_phrase(_phrase(" ".join(seq)), seq, index, config)
-        expected = _brute_force_match(seq, index.entries, config)
-        if expected is None:
-            assert match is None
-        else:
-            entry, score = expected
-            assert (match.concept_iri, match.matched_label) == (entry.iri, entry.label)
-            assert match.score == float(score)
+        _assert_best_match(seq, entries, config)
+
+    @settings(max_examples=300, deadline=None)
+    @given(size_order_banks(), group_configs)
+    def test_row_size_order_does_not_change_the_winner(self, bank, config):
+        # one Jaccard group spans row sizes; a size seen first may hold the
+        # later position in a label, where the earlier position must still win
+        _assert_best_match(*bank, config)
 
 
 class TestMatchQuestion:
@@ -270,20 +300,21 @@ class TestMatchQuestion:
     def test_fixture_question_pair(self, fixture_corpus, fixture_index,
                                    fixture_lexicon, fixture_stoplist):
         from onto_enrich.corpus import extract_phrases
-        matches = match_question(extract_phrases(fixture_corpus[0]), fixture_index,
-                                 fixture_lexicon, fixture_stoplist, self.CFG)
+        matches = match_question(extract_phrases(fixture_corpus[0]),
+                                 Scorer(fixture_index, *self.CFG), fixture_lexicon,
+                                 fixture_stoplist)
         assert [m.concept_iri for m in matches] == \
             ["c:Perpendicular", "c:TriangleMiddleLine"]
 
     def test_no_phrases(self, fixture_index, fixture_lexicon, fixture_stoplist):
-        assert match_question([], fixture_index,
-                              fixture_lexicon, fixture_stoplist, self.CFG) == []
+        assert match_question([], Scorer(fixture_index, *self.CFG),
+                              fixture_lexicon, fixture_stoplist) == []
 
     def test_duplicate_concept_collapsed(self, fixture_index,
                                          fixture_lexicon, fixture_stoplist):
         phrases = [_phrase("square", "q", 0), _phrase("squares", "q", 1)]
-        matches = match_question(phrases, fixture_index,
-                                 fixture_lexicon, fixture_stoplist, self.CFG)
+        matches = match_question(phrases, Scorer(fixture_index, *self.CFG),
+                                 fixture_lexicon, fixture_stoplist)
         assert len(matches) == 1
         assert matches[0].concept_iri == "c:Square"
         assert matches[0].phrase.ordinal == 0
@@ -295,8 +326,8 @@ class TestMatchQuestion:
         original = matcher_module.match_phrase
         monkeypatch.setattr(matcher_module, "match_phrase",
                             lambda *a, **k: calls.append(a) or original(*a, **k))
-        matches = match_question([_phrase("of the")], fixture_index,
-                                 fixture_lexicon, fixture_stoplist, MatchConfig(0.75, 0.0))
+        matches = match_question([_phrase("of the")], Scorer(fixture_index, 0.75, 0.0),
+                                 fixture_lexicon, fixture_stoplist)
         assert matches == []
         assert calls == []
 
@@ -343,7 +374,7 @@ def _oracle_question(phrases, entries, config):
 
 
 class TestMemo:
-    """``match_phrase`` scores each distinct (seq, thresholds) once per index."""
+    """A ``Scorer`` scores each distinct lemma sequence once."""
 
     @settings(max_examples=200, deadline=None)
     @given(phrase_pools, banks, tie_entries, tie_configs, tie_configs)
@@ -352,56 +383,55 @@ class TestMemo:
         calls = []
         pair_counts = _scoring.pair_counts
 
-        def counted(idx, seq, word_threshold):
-            calls.append((idx, seq, word_threshold))
-            return pair_counts(idx, seq, word_threshold)
+        def counted(scorer, seq):
+            calls.append((scorer, seq))
+            return pair_counts(scorer, seq)
 
         questions = _questions(pool, bank)
+        scorers = [(Scorer(index, *first), first), (Scorer(index, *second), second)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_scoring, "pair_counts", counted)
-            # the second config runs between two passes of the first over
-            # one shared index, so a result leaking across configs shows
-            for config in (first, second, first):
+            # the second scorer runs between two passes of the first over
+            # one shared index, so a result leaking across scorers shows
+            for scorer, config in (scorers[0], scorers[1], scorers[0]):
                 for phrases in questions:
-                    got = match_question(phrases, index, {}, MEMO_STOPLIST, config)
+                    got = match_question(phrases, scorer, {}, MEMO_STOPLIST)
                     assert got == _oracle_question(phrases, index.entries, config)
         seqs = {normalize_phrase(p.raw, {}, MEMO_STOPLIST)
                 for phrases in questions for p in phrases} - {()}
-        keys = {(seq, c.word_threshold, c.seq_threshold) for seq in seqs for c in (first, second)}
-        assert all(idx is index for idx, _, _ in calls)
-        assert len(calls) == (len(keys) if index.entries else 0)
-        assert set(index.memo) == (keys if index.entries else set())
+        for scorer, _ in scorers:
+            scored = [seq for by, seq in calls if by is scorer]
+            assert sorted(scored) == (sorted(seqs) if index.entries else [])
+            assert set(scorer.winners) == (seqs if index.entries else set())
 
     def test_repeat_carries_its_own_phrase(self):
         index = _index(("c:A", "a b", ("a", "b")), ("c:B", "c", ("c",)))
-        cfg = MatchConfig(1.0, 0.0)
-        first = match_phrase(_phrase("a b", "q1", 0), ("a", "b"), index, cfg)
-        again = match_phrase(_phrase("A  B", "q2", 3), ("a", "b"), index, cfg)
+        scorer = Scorer(index, 1.0, 0.0)
+        first = match_phrase(_phrase("a b", "q1", 0), ("a", "b"), scorer)
+        again = match_phrase(_phrase("A  B", "q2", 3), ("a", "b"), scorer)
         assert (again.question_id, again.phrase.raw, again.phrase.ordinal) == ("q2", "A  B", 3)
         assert (again.concept_iri, again.matched_label, again.score) == \
             (first.concept_iri, first.matched_label, first.score) == ("c:A", "a b", 1.0)
 
     def test_unmatched_key_is_remembered(self):
         index = _index(("c:A", "a", ("a",)))
-        cfg = MatchConfig(1.0, 0.5)
-        assert match_phrase(_phrase("z"), ("z",), index, cfg) is None
-        assert index.memo == {(("z",), 1.0, 0.5): None}
-        # a lower sequence threshold is another key, scored afresh
-        assert match_phrase(_phrase("z"), ("z",), index, MatchConfig(1.0, 0.0)).score == 0.0
+        scorer = Scorer(index, 1.0, 0.5)
+        assert match_phrase(_phrase("z"), ("z",), scorer) is None
+        assert scorer.winners == {("z",): None}
+        # a lower sequence threshold is another scorer, which scores afresh
+        assert match_phrase(_phrase("z"), ("z",), Scorer(index, 1.0, 0.0)).score == 0.0
 
-    def test_run_view_shares_tables_not_memos(self):
+    def test_scorers_share_no_memo(self):
         index = _index(("c:A", "a b", ("a", "b")), ("c:B", "c", ("c",)))
-        cfg = MatchConfig(1.0, 0.5)
-        match_phrase(_phrase("a"), ("a",), index, cfg)
-        view = index.for_run()
-        assert (view.pairable, view.overlaps, view.memo, view.walks) == ({}, {}, {}, {})
-        assert index.memo and index.pairable and index.overlaps and index.walks
-        assert all(getattr(view, name) is getattr(index, name)
-                   for name in ("entries", "rows", "char_rows", "size_rows", "order",
-                                "row_positions", "length_entries", "unpaired"))
-        match_phrase(_phrase("c"), ("c",), view, cfg)
-        assert set(view.memo) == {(("c",), 1.0, 0.5)}
-        assert set(index.memo) == {(("a",), 1.0, 0.5)}
+        one, two = Scorer(index, 1.0, 0.5), Scorer(index, 1.0, 0.5)
+        memos = ("pairable", "overlaps", "walks", "winners")
+        match_phrase(_phrase("a"), ("a",), one)
+        assert all(getattr(one, name) for name in memos)
+        assert all(getattr(two, name) == {} for name in memos)
+        match_phrase(_phrase("c"), ("c",), two)
+        assert set(one.winners) == {("a",)} and set(two.winners) == {("c",)}
+        assert set(one.pairable) == {"a"} and set(two.pairable) == {"c"}
+        assert one.index is two.index is index
 
 
 WORD_ALPHABET = "abcdefgzхо"

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import shutil
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from onto_enrich import matcher, pipeline
+from onto_enrich import _scoring, pipeline
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import (
     InternalInvariantError,
@@ -194,15 +195,20 @@ def _counting_scores():
     """Count the lemma sequences scored by each thread, in a Counter by
     thread id; a sequence answered from a memo is not counted."""
     counts = Counter()
-    best_entry = matcher._best_entry
+    best_entry = _scoring._best_entry
 
     def counted(*args):
         counts[threading.get_ident()] += 1
         return best_entry(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matcher, "_best_entry", counted)
+        mp.setattr(_scoring, "_best_entry", counted)
         yield counts
+
+
+def _snapshot(index):
+    """Each attribute of ``index`` with its value's id and a deep copy of it."""
+    return {name: (id(value), copy.deepcopy(value)) for name, value in vars(index).items()}
 
 
 def _report(config):
@@ -361,6 +367,14 @@ class TestOntologyReuse:
         with pytest.raises(MalformedLexiconLineError, match="^fixtures/lexicon.tsv: "):
             run(_REUSE_CONFIG)
 
+    def test_kept_index_is_never_written(self, fixture_copy, golden):
+        pipeline._load_ontology(FIXTURE_CONFIG)
+        index = pipeline._loaded[4]
+        before = _snapshot(index)
+        assert _report(FIXTURE_CONFIG)[0] == _report(FIXTURE_CONFIG)[0] == golden
+        assert pipeline._loaded[4] is index
+        assert _snapshot(index) == before
+
     def test_concurrent_runs_each_score_afresh(self, fixture_copy, golden):
         # four threads on two cores, two on the fixture and two on another
         # ontology, so the slot is hit and replaced while runs are going:
@@ -370,6 +384,8 @@ class TestOntologyReuse:
             Path(FIXTURE_CONFIG.ontology).read_bytes() + _RULER_LABEL.encode())
         fresh = {config: _report(config) for config in (other, FIXTURE_CONFIG)}
         assert fresh[FIXTURE_CONFIG][0] == golden
+        index = pipeline._loaded[4]
+        before = _snapshot(index)
         barrier = threading.Barrier(4)
 
         def work(config, counts):
@@ -391,6 +407,8 @@ class TestOntologyReuse:
         finally:
             sys.setswitchinterval(interval)
         assert results == [[fresh[config]] * 5 for config in configs]
+        # the fixture's kept index, which the threads' first runs share, is as it was
+        assert _snapshot(index) == before
 
 
 class TestRunConfigValidation:
@@ -547,7 +565,8 @@ def test_public_api_is_explicit():
     assert not [name for name in onto_enrich.__all__ if not hasattr(onto_enrich, name)]
     exported = {name: getattr(onto_enrich, name) for name in onto_enrich.__all__}
     assert not [name for name, value in exported.items() if isinstance(value, types.ModuleType)]
-    assert {"run", "RunConfig", "paths_from", "compare_from", "LabelIndex"} <= set(exported)
+    assert {"run", "RunConfig", "paths_from", "compare_from", "LabelIndex", "Scorer"} \
+        <= set(exported)
     # the scoring and tokenizing specs live in tests/oracles.py, not the package
     assert not [name for name in ("char_jaccard", "seq_similarity", "tokenize")
                 if hasattr(onto_enrich, name)]

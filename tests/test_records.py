@@ -94,6 +94,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field,value,message", [
         ("word_threshold", -0.1, "word_threshold must be within [0, 1], got -0.1"),
         ("seq_threshold", 2.0, "seq_threshold must be within [0, 1], got 2.0"),
+        ("word_threshold", True, "word_threshold must be a real number, got True"),
+        ("seq_threshold", False, "seq_threshold must be a real number, got False"),
+        ("word_threshold", "0.5", "word_threshold must be a real number, got '0.5'"),
+        ("seq_threshold", None, "seq_threshold must be a real number, got None"),
     ])
     def test_match_config(self, field, value, message):
         values = {**MatchConfig()._asdict(), field: value}

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from onto_enrich._scoring import (
     IndexEntry,
     LabelIndex,
+    Scorer,
     _at_least,
     _count_bits,
     _pairable,
@@ -65,7 +66,7 @@ def _index(entries):
 def _dense_counts(phrase, entries, threshold):
     """``pair_counts`` decoded into per-entry lists of m and d."""
     index = _index(entries)
-    planes = pair_counts(index, phrase, threshold)
+    planes = pair_counts(Scorer(index, threshold, 0.0), phrase)
     # no plane holds a bit past the entries, and the top plane is not empty
     assert planes[-1:] != [0] and all(plane >> len(entries) == 0 for plane in planes)
     m = [0] * len(entries)
@@ -180,7 +181,7 @@ class TestBitSlicing:
            thresholds)
     def test_filter_keeps_exactly_the_pairable_rows(self, lemma, entries, threshold):
         index = _index(entries)
-        union, groups = _pairable(index, lemma, threshold)
+        union, groups = _pairable(Scorer(index, threshold, 0.0), lemma)
         expected = {row: char_jaccard(lemma, row) for row in index.rows
                     if char_jaccard(lemma, row) >= threshold}
 
@@ -236,12 +237,12 @@ class TestBackendEquivalence:
     @SETTINGS
     @given(entry_lists, thresholds)
     def test_empty_phrase(self, entries, threshold):
-        assert pair_counts(_index(entries), (), threshold) == []
+        assert pair_counts(Scorer(_index(entries), threshold, 0.0), ()) == []
 
     @SETTINGS
     @given(sequences, thresholds)
     def test_empty_index(self, phrase, threshold):
-        assert pair_counts(_index([]), phrase, threshold) == []
+        assert pair_counts(Scorer(_index([]), threshold, 0.0), phrase) == []
 
     @SETTINGS
     @given(outside_sequences, entry_lists, thresholds)
