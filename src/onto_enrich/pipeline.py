@@ -7,12 +7,15 @@ per source concept and edge filter), aggregate question ids, and emit a
 deterministically ordered report. Every stage runs once, in order, in the
 calling thread.
 
-The graph and label index are kept from the last run whose ontology load
-succeeded, and reused while every input they depend on is equal, by
-content: see ``_load_ontology``. Each run's memos live in its own ``Scorer``.
+Three memos of one entry each keep the parsed lexicon, the parsed stoplist,
+and the graph, label index and index warnings, each keyed by the bytes and
+settings it depends on, so repeated runs over unchanged inputs parse and
+build nothing again: see ``_load_ontology``. Each run's scoring memos live in
+its own ``Scorer``.
 """
 
 import csv
+import functools
 import io
 import math
 from contextlib import contextmanager
@@ -69,24 +72,39 @@ class _RunConfig(NamedTuple):
 class RunConfig(_RunConfig):
     """Everything a run needs; echoed into the report for provenance.
 
-    Construction, ``_make`` and ``_replace`` raise ValueError on a max_depth
-    that is not an int (a bool is not) or is below 1, on a bare str as
-    either predicate collection, and on an unknown format.
+    Construction, ``_make`` and ``_replace`` raise ValueError unless every
+    field has the type the report can echo: ontology and corpus a str;
+    lexicon, stoplist and label_lang a str or None; match a MatchConfig;
+    max_depth an int (a bool is not) of at least 1; each predicate
+    collection a tuple or list of str; format one of OUTPUT_FORMATS; and
+    optimal_only a bool. Nothing is converted: a set's order would vary
+    from one process to the next.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for name in ("ontology", "corpus"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a str, got {getattr(self, name)!r}")
+        for name in ("lexicon", "stoplist", "label_lang"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a str or None, got {getattr(self, name)!r}")
+        if not isinstance(self.match, MatchConfig):
+            raise ValueError(f"match must be a MatchConfig, got {self.match!r}")
         if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
             raise ValueError(f"max_depth must be an integer, got {self.max_depth!r}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         for name in ("label_predicates", "hierarchical_predicates"):
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a collection of predicate IRIs, not a str")
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and all(isinstance(v, str) for v in value)):
+                raise ValueError(f"{name} must be a tuple or list of str, got {value!r}")
         if self.format not in OUTPUT_FORMATS:
             raise ValueError(f"format must be one of {OUTPUT_FORMATS}, got {self.format!r}")
+        if not isinstance(self.optimal_only, bool):
+            raise ValueError(f"optimal_only must be a bool, got {self.optimal_only!r}")
         return self
 
     @classmethod
@@ -151,66 +169,60 @@ def run(config: RunConfig) -> Report:
     return report
 
 
-# The last successful ontology load: (key, lexicon, stoplist, graph, label
-# index, index warnings), the lexicon and stoplist as parsed. A run reads it
-# once and replaces it whole by one assignment, so concurrent runs need no
-# lock. One slot, so a caller that alternates ontologies rebuilds each time
-# and memory never grows.
-_loaded = None
+@functools.lru_cache(maxsize=1)
+def _lexicon(data):
+    """The lexicon parsed from ``data``, a lexicon file's bytes, or {} for None."""
+    return {} if data is None else load_lexicon(data)
 
 
-def _read_parsed(path, parse, default, kept_data, kept_value):
-    """(bytes, parsed value) of the file at ``path``, or (None, ``default``)
-    without one. Bytes equal to ``kept_data`` parsed cleanly before, so they
-    give ``kept_value`` unparsed."""
-    if not path:
-        return None, default
-    data = Path(path).read_bytes()
-    if data == kept_data:
-        return data, kept_value
-    with _file_context(path):
-        return data, parse(data)
+@functools.lru_cache(maxsize=1)
+def _stoplist(data):
+    """The stoplist parsed from ``data``, a stoplist file's bytes, or the
+    default for None."""
+    return DEFAULT_STOPLIST if data is None else load_stoplist(data)
+
+
+@functools.lru_cache(maxsize=1)
+def _ontology(data, lexicon_data, stoplist_data, label_predicates, hierarchical_predicates,
+              label_lang):
+    """The graph, label index and index warnings built from ``data``, an
+    ontology file's bytes, and the other inputs they depend on."""
+    graph = build_graph(
+        parse_triples(data),
+        hierarchical_predicates=hierarchical_predicates,
+        label_predicates=label_predicates,
+        label_lang=label_lang,
+    )
+    warnings: list[str] = []
+    index = build_label_index(
+        graph, _lexicon(lexicon_data), _stoplist(stoplist_data), on_warning=warnings.append)
+    return graph, index, tuple(warnings)
 
 
 def _load_ontology(config: RunConfig):
     """The lexicon, stoplist, graph, label index and index warnings of this
     run's inputs.
 
-    The lexicon, stoplist and ontology files are read in that order, each
-    read in full and compared by bytes with the ones kept in ``_loaded``,
-    never by path or mtime; a lexicon or stoplist is parsed only when its
-    bytes differ. The graph and index are reused when the whole key equals
-    the kept one: the three files' bytes, both predicate collections and
-    label_lang. Otherwise they are built and kept; a load that raises leaves
-    ``_loaded`` as it was.
+    The lexicon, stoplist and ontology files are read in that order, each in
+    full. Each value comes from a memo of one entry keyed by content, never
+    by path or mtime: the lexicon and the stoplist by their bytes, the graph
+    and index by the three files' bytes, both predicate collections and
+    label_lang. A memo parses or builds only when its key changes; a load
+    that raises keeps nothing and leaves the previous entry.
     """
-    global _loaded
-    loaded = _loaded
-    # an empty slot keeps no bytes, so no file's bytes equal its kept ones
-    kept_key, kept_lexicon, kept_stoplist = loaded[:3] if loaded else ((None,) * 3, None, None)
-    lexicon_data, lexicon = _read_parsed(
-        config.lexicon, load_lexicon, {}, kept_key[1], kept_lexicon)
-    stoplist_data, stoplist = _read_parsed(
-        config.stoplist, load_stoplist, DEFAULT_STOPLIST, kept_key[2], kept_stoplist)
-    # copies: a list in the config could change after the key is kept
-    label_predicates = tuple(config.label_predicates)
-    hierarchical_predicates = tuple(config.hierarchical_predicates)
+    with _file_context(config.lexicon):
+        lexicon_data = Path(config.lexicon).read_bytes() if config.lexicon else None
+        lexicon = _lexicon(lexicon_data)
+    with _file_context(config.stoplist):
+        stoplist_data = Path(config.stoplist).read_bytes() if config.stoplist else None
+        stoplist = _stoplist(stoplist_data)
     with _file_context(config.ontology):
-        data = Path(config.ontology).read_bytes()
-        key = (data, lexicon_data, stoplist_data, label_predicates, hierarchical_predicates,
-               config.label_lang)
-        if key == kept_key:
-            return loaded[1:]
-        graph = build_graph(
-            parse_triples(data),
-            hierarchical_predicates=hierarchical_predicates,
-            label_predicates=label_predicates,
-            label_lang=config.label_lang,
-        )
-    warnings: list[str] = []
-    index = build_label_index(graph, lexicon, stoplist, on_warning=warnings.append)
-    _loaded = (key, lexicon, stoplist, graph, index, tuple(warnings))
-    return _loaded[1:]
+        # tuples: the key must hash, and a list could change after it is kept
+        graph, index, warnings = _ontology(
+            Path(config.ontology).read_bytes(), lexicon_data, stoplist_data,
+            tuple(config.label_predicates), tuple(config.hierarchical_predicates),
+            config.label_lang)
+    return lexicon, stoplist, graph, index, warnings
 
 
 def _compare_all(graph, by_source, max_depth):

@@ -1,13 +1,15 @@
 import copy
+import gc
 import json
 import math
 import shutil
 import sys
 import threading
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -181,13 +183,21 @@ def golden(repo_root):
     return (repo_root / "tests/golden/fixture_report.json").read_bytes()
 
 
+_MEMOS = (pipeline._lexicon, pipeline._stoplist, pipeline._ontology)
+
+
+def _clear_memos():
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
 @pytest.fixture()
 def fixture_copy(repo_root, tmp_path, monkeypatch):
     """A copy of fixtures/ under a new working directory, free to rewrite;
-    FIXTURE_CONFIG names its files. The loaded ontology slot starts empty."""
+    FIXTURE_CONFIG names its files. The load memos start empty."""
     shutil.copytree(repo_root / "fixtures", tmp_path / "fixtures")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(pipeline, "_loaded", None)
+    _clear_memos()
 
 
 @contextmanager
@@ -229,7 +239,7 @@ _PREDICATES = ("rdfs:label", "rdfs:subClassOf", "ome:hasChild", "ome:relatedTo",
 
 @st.composite
 def _variants(draw):
-    """(field, value): one input of the slot's key changed from the fixture
+    """(field, value): one input of the ontology memo's key changed from the fixture
     run's. A file's value is a line appended to it, a config field's value
     replaces it."""
     field = draw(st.sampled_from(
@@ -268,6 +278,12 @@ def _write(files):
         Path("fixtures", name).write_bytes(data)
 
 
+def _builds():
+    """(misses, hits) of the ontology memo so far."""
+    info = pipeline._ontology.cache_info()
+    return info.misses, info.hits
+
+
 class TestOntologyReuse:
     """run() keeps the last loaded ontology and reuses it while the key's
     inputs are equal; its reports must not tell a reuse from a fresh load."""
@@ -277,22 +293,27 @@ class TestOntologyReuse:
     @given(_variants())
     @example(("ontology", _RULER_LABEL))
     @example(("lexicon", "ruler\tsquare\n"))
+    @example(("stoplist", "ruler\n"))
     def test_alternating_inputs_report_as_fresh_runs(self, repo_root, fixture_copy, variant):
         # A, then B, then A, at the same paths, each run twice: every report,
         # and the number of sequences each run scores, is that of a run made
-        # with the slot emptied
+        # with the memos emptied; the first run of each builds, the second
+        # reuses, and each memo holds one entry
         states = [_inputs(repo_root, None), _inputs(repo_root, variant)]
         fresh = []
         for files, config in states:
             _write(files)
-            pipeline._loaded = None
+            _clear_memos()
             fresh.append(_report(config))
-        pipeline._loaded = None
+        _clear_memos()
         for which in (0, 1, 0):
             files, config = states[which]
             _write(files)
+            misses, hits = _builds()
             assert _report(config) == fresh[which]
             assert _report(config) == fresh[which]
+            assert _builds() == (misses + 1, hits + 1)
+            assert [memo.cache_info().currsize for memo in _MEMOS] == [1, 1, 1]
 
     def test_ontology_rewritten_in_place_is_read_again(self, fixture_copy, golden):
         ontology = Path("fixtures/ontology.nt")
@@ -301,7 +322,7 @@ class TestOntologyReuse:
         ontology.write_bytes(original + _RULER_LABEL.encode())
         changed = _report(FIXTURE_CONFIG)
         assert _report(FIXTURE_CONFIG) == changed
-        pipeline._loaded = None
+        _clear_memos()
         assert _report(FIXTURE_CONFIG) == changed
         assert changed[0] != golden
         ontology.write_bytes(original)
@@ -318,23 +339,31 @@ class TestOntologyReuse:
         original = ontology.read_bytes()
         first = _report(FIXTURE_CONFIG)
         assert first[0] == golden
-        kept = pipeline._loaded
-        ontology.write_bytes(original + line)
+        kept = pipeline._load_ontology(FIXTURE_CONFIG)
         messages = []
-        # with the good load in the slot, twice (a failure is not kept),
-        # then with the slot empty: the same error, naming the file
-        for slot in (kept, kept, None):
-            pipeline._loaded = slot
+
+        def fail():
+            ontology.write_bytes(original + line)
+            size = pipeline._ontology.cache_info().currsize
             with pytest.raises(error) as exc:
                 run(FIXTURE_CONFIG)
-            assert pipeline._loaded is slot
+            assert pipeline._ontology.cache_info().currsize == size
             messages.append(str(exc.value))
+
+        # with the good load kept, twice (a failure is not kept): the fixed
+        # file then reuses the kept load
+        fail()
+        fail()
+        ontology.write_bytes(original)
+        misses, hits = _builds()
+        assert _report(FIXTURE_CONFIG) == first
+        assert _builds() == (misses, hits + 1)
+        assert all(a is b for a, b in zip(pipeline._load_ontology(FIXTURE_CONFIG), kept))
+        # with the memos empty: the same error, naming the file
+        _clear_memos()
+        fail()
         assert len(set(messages)) == 1
         assert messages[0].startswith("fixtures/ontology.nt: ")
-        ontology.write_bytes(original)
-        pipeline._loaded = kept
-        assert _report(FIXTURE_CONFIG) == first
-        assert pipeline._loaded is kept
 
     def test_lexicon_and_stoplist_parsed_only_when_their_bytes_change(
             self, fixture_copy, golden, monkeypatch):
@@ -368,23 +397,35 @@ class TestOntologyReuse:
             run(_REUSE_CONFIG)
 
     def test_kept_index_is_never_written(self, fixture_copy, golden):
-        pipeline._load_ontology(FIXTURE_CONFIG)
-        index = pipeline._loaded[4]
+        index = pipeline._load_ontology(FIXTURE_CONFIG)[3]
         before = _snapshot(index)
         assert _report(FIXTURE_CONFIG)[0] == _report(FIXTURE_CONFIG)[0] == golden
-        assert pipeline._loaded[4] is index
+        assert pipeline._load_ontology(FIXTURE_CONFIG)[3] is index
         assert _snapshot(index) == before
+
+    def test_another_ontology_frees_the_last(self, fixture_copy):
+        # one entry per memo, so memory does not grow: once a run has loaded
+        # another ontology, nothing holds the first one's label index
+        other = FIXTURE_CONFIG._replace(ontology="fixtures/other.nt")
+        Path(other.ontology).write_bytes(
+            Path(FIXTURE_CONFIG.ontology).read_bytes() + _RULER_LABEL.encode())
+        index = weakref.ref(pipeline._load_ontology(FIXTURE_CONFIG)[3])
+        gc.collect()
+        assert index() is not None
+        run(other)
+        gc.collect()
+        assert index() is None
 
     def test_concurrent_runs_each_score_afresh(self, fixture_copy, golden):
         # four threads on two cores, two on the fixture and two on another
-        # ontology, so the slot is hit and replaced while runs are going:
+        # ontology, so the memo is hit and replaced while runs are going:
         # every run gives its fresh report and scores every sequence itself
         other = FIXTURE_CONFIG._replace(ontology="fixtures/other.nt")
         Path(other.ontology).write_bytes(
             Path(FIXTURE_CONFIG.ontology).read_bytes() + _RULER_LABEL.encode())
         fresh = {config: _report(config) for config in (other, FIXTURE_CONFIG)}
         assert fresh[FIXTURE_CONFIG][0] == golden
-        index = pipeline._loaded[4]
+        index = pipeline._load_ontology(FIXTURE_CONFIG)[3]
         before = _snapshot(index)
         barrier = threading.Barrier(4)
 
@@ -482,6 +523,32 @@ _EMPTY_REPORT = Report(
     "", RunConfig("", "", match=MatchConfig(1, 0), label_predicates=(),
                   hierarchical_predicates=()), (), (), ())
 
+# Values of every type a caller might pass for a RunConfig field, most of
+# which the report cannot echo: paths, bytes, sets, iterators, plain tuples
+# and str flags.
+_ANY_SCALAR = st.one_of(
+    st.none(), _TEXT, _TEXT.map(PurePosixPath), st.binary(max_size=3), st.booleans(),
+    st.integers(-1, 3), st.floats(allow_nan=True))
+_ANY_PREDICATES = st.lists(_TEXT | _ANY_SCALAR, max_size=3).flatmap(lambda items: st.sampled_from(
+    [tuple(items), list(items), frozenset(items), iter(items), "".join(map(str, items))]))
+_ANY_FIELD = dict(
+    ontology=_ANY_SCALAR, corpus=_ANY_SCALAR, lexicon=_ANY_SCALAR, stoplist=_ANY_SCALAR,
+    match=st.tuples(_ANY_SCALAR, _ANY_SCALAR), max_depth=_ANY_SCALAR,
+    label_predicates=_ANY_PREDICATES, hierarchical_predicates=_ANY_PREDICATES,
+    label_lang=_ANY_SCALAR, format=_ANY_SCALAR,
+    optimal_only=_ANY_SCALAR | st.sampled_from(["no", "yes", "false", ""]),
+)
+
+
+@st.composite
+def _any_config_fields(draw):
+    """The fields of a valid config, up to three of them then redrawn from
+    ``_ANY_FIELD``."""
+    fields = draw(_CONFIGS)._asdict()
+    for name in draw(st.lists(st.sampled_from(RunConfig._fields), max_size=3, unique=True)):
+        fields[name] = draw(_ANY_FIELD[name])
+    return fields
+
 
 class TestSerializeReport:
     @settings(max_examples=150, deadline=None)
@@ -495,6 +562,23 @@ class TestSerializeReport:
         for score in (math.nan, math.inf, -math.inf, 1, 0.1))))
     def test_json_equals_standard_encoder(self, report):
         assert serialize_report(report, "json") == json_report_reference(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_any_config_fields(), st.sampled_from(("new", "replace", "make")))
+    def test_every_config_that_constructs_is_written(self, fields, build):
+        # a config is rejected when made, or the report can echo it
+        try:
+            if build == "new":
+                config = RunConfig(**fields)
+            elif build == "replace":
+                config = RunConfig("o.nt", "c.xml")._replace(**fields)
+            else:
+                config = RunConfig._make(fields[name] for name in RunConfig._fields)
+        except ValueError:
+            return
+        report = _EMPTY_REPORT._replace(config=config)
+        assert serialize_report(report, "json") == json_report_reference(report)
+        assert serialize_report(report, "csv").startswith(b"concept_a,")
 
     def test_golden_report_equals_standard_encoder(self, fixture_report):
         assert serialize_report(fixture_report, "json") == json_report_reference(fixture_report)

@@ -4,6 +4,9 @@
 pinned as literals.
 """
 
+import math
+from pathlib import PurePosixPath
+
 import pytest
 
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
@@ -114,10 +117,35 @@ class TestConfigValidation:
         ("max_depth", "3", "max_depth must be an integer, got '3'"),
         ("max_depth", True, "max_depth must be an integer, got True"),
         ("label_predicates", "rdfs:label",
-         "label_predicates must be a collection of predicate IRIs, not a str"),
+         "label_predicates must be a tuple or list of str, got 'rdfs:label'"),
         ("hierarchical_predicates", "rdfs:subClassOf",
-         "hierarchical_predicates must be a collection of predicate IRIs, not a str"),
+         "hierarchical_predicates must be a tuple or list of str, got 'rdfs:subClassOf'"),
         ("format", "xml", "format must be one of ('json', 'csv'), got 'xml'"),
+        # every field the report echoes has a type the writer can echo
+        pytest.param("ontology", PurePosixPath("o.nt"),
+                     "ontology must be a str, got PurePosixPath('o.nt')", id="ontology-path"),
+        pytest.param("corpus", None, "corpus must be a str, got None", id="corpus-none"),
+        pytest.param("lexicon", PurePosixPath("l.tsv"),
+                     "lexicon must be a str or None, got PurePosixPath('l.tsv')",
+                     id="lexicon-path"),
+        pytest.param("stoplist", b"s.txt", "stoplist must be a str or None, got b's.txt'",
+                     id="stoplist-bytes"),
+        pytest.param("label_lang", ("en",), "label_lang must be a str or None, got ('en',)",
+                     id="label_lang-tuple"),
+        pytest.param("match", (math.nan, 0.5), "match must be a MatchConfig, got (nan, 0.5)",
+                     id="match-tuple"),
+        pytest.param("match", ("0.5", 0.5), "match must be a MatchConfig, got ('0.5', 0.5)",
+                     id="match-tuple-of-str"),
+        pytest.param("label_predicates", frozenset({"rdfs:label"}),
+                     "label_predicates must be a tuple or list of str, "
+                     "got frozenset({'rdfs:label'})", id="label_predicates-frozenset"),
+        pytest.param("hierarchical_predicates", ["rdfs:subClassOf", None],
+                     "hierarchical_predicates must be a tuple or list of str, "
+                     "got ['rdfs:subClassOf', None]", id="hierarchical_predicates-non-str"),
+        pytest.param("optimal_only", "no", "optimal_only must be a bool, got 'no'",
+                     id="optimal_only-str"),
+        pytest.param("optimal_only", 1, "optimal_only must be a bool, got 1",
+                     id="optimal_only-int"),
     ])
     def test_run_config(self, field, value, message):
         config = RunConfig("o.nt", "c.xml")
