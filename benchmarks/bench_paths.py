@@ -6,11 +6,12 @@ Builds a seeded synthetic ontology graph (a random concept tree, its links
 under three more predicates, some of them parallel to a tree link) and a
 seeded bank of questions, each naming a few concepts. The bank's concept
 pairs are grouped by source as a run groups them, and every search a run
-makes is timed: one ``paths_from`` per source concept and edge filter, at the
-default depth cap, taking the median of ``--repeat`` passes over the bank.
-The graph's construction, which builds the search tables, is timed apart.
-The sha256 checksum of every search's paths is fixed by the arguments, so a
-change to the search that alters any path shows as a different checksum.
+makes is timed: one hierarchical and one full ``paths_from`` per source
+concept, at the default depth cap, taking the median of ``--repeat`` passes
+over the bank. The graph's construction, which builds the search tables, is
+timed apart. The sha256 checksum of every search's paths is fixed by the
+arguments, so a change to the search that alters any path shows as a
+different checksum.
 
 Usage: PYTHONPATH=src python benchmarks/bench_paths.py [--concepts N] [--questions N] [--repeat N]
 """
@@ -23,7 +24,7 @@ import statistics
 import time
 
 from onto_enrich.ontology import Literal, OntologyGraph, RelationEdge
-from onto_enrich.pathfinder import EdgeFilter, paths_from
+from onto_enrich.pathfinder import paths_from
 
 HIERARCHICAL = frozenset({"rdfs:subClassOf", "ome:hasChild"})
 CROSS = ["ome:describes", "ome:partOf", "ome:relatedTo"]
@@ -60,8 +61,8 @@ def synthetic_bank(rng, iris, questions):
 
 
 def search_bank(graph, bank):
-    return [paths_from(graph, src, dsts, edge_filter)
-            for src, dsts in bank.items() for edge_filter in EdgeFilter]
+    return [paths_from(graph, src, dsts, hierarchical)
+            for src, dsts in bank.items() for hierarchical in (True, False)]
 
 
 def main():

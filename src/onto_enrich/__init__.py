@@ -46,13 +46,10 @@ from .ontology import (
 )
 from .pathfinder import (
     ConnectionRecord,
-    EdgeFilter,
     PathResult,
-    compare,
     compare_from,
     enumerate_pairs,
     paths_from,
-    shortest_path,
 )
 from .pipeline import Report, RunConfig, run, serialize_report
 from .textnorm import load_lexicon, load_stoplist, normalize_phrase
@@ -93,13 +90,10 @@ __all__ = [
     "build_label_index",
     "parse_triples",
     "ConnectionRecord",
-    "EdgeFilter",
     "PathResult",
-    "compare",
     "compare_from",
     "enumerate_pairs",
     "paths_from",
-    "shortest_path",
     "load_lexicon",
     "load_stoplist",
     "normalize_phrase",

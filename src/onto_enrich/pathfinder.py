@@ -1,14 +1,15 @@
 """Shortest connections between matched concepts, hierarchical vs. full.
 
 Both searches are breadth-first over undirected edges (hierarchy links are
-climbed in either direction), capped at a maximum depth. One search per
-source concept and edge filter serves all of that source's pairs. A concept pair is
+climbed in either direction), capped at a maximum depth. ``paths_from``
+takes ``hierarchical``: True admits only the graph's hierarchy predicates,
+False admits every edge. One search per source concept and value of
+``hierarchical`` serves all of that source's pairs. A concept pair is
 an "optimal connection" when the shortest path over every relation type is
 strictly shorter than the shortest hierarchical-only path — the signal that
 a direct cross-relation is worth proposing to the ontology experts.
 """
 
-import enum
 import itertools
 from typing import Iterable, Mapping, NamedTuple
 
@@ -17,11 +18,6 @@ from .matcher import ConceptMatch
 from .ontology import OntologyGraph
 
 DEFAULT_MAX_DEPTH = 6
-
-
-class EdgeFilter(enum.Enum):
-    HIERARCHICAL = "hierarchical"  # admits only the graph's hierarchy predicates
-    ALL = "all"                    # admits every edge
 
 
 class PathResult(NamedTuple):
@@ -51,15 +47,17 @@ def paths_from(
     graph: OntologyGraph,
     src: str,
     targets: Iterable[str],
-    edge_filter: EdgeFilter,
+    hierarchical: bool,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> dict[str, PathResult]:
     """Shortest paths of length <= max_depth from ``src`` to each target.
 
-    Edges are traversed as undirected; targets out of reach are absent from
-    the result. Of all shortest paths to a target, the result is the one
-    whose node sequence is lexicographically smallest, and each of its steps
-    takes the smallest predicate joining its two nodes under the edge filter.
+    With ``hierarchical`` set, only edges under the graph's hierarchy
+    predicates are traversed; otherwise every edge is. Edges are traversed
+    as undirected; targets out of reach are absent from the result. Of all
+    shortest paths to a target, the result is the one whose node sequence
+    is lexicographically smallest, and each of its steps takes the smallest
+    predicate joining its two nodes among the traversed edges.
     One breadth-first search serves every target, stopping once all are
     discovered or the depth cap is reached. It runs over the graph's concept
     numbers, whose order is IRI order: it expands each node's distinct
@@ -77,8 +75,7 @@ def paths_from(
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
 
-    hier = edge_filter is EdgeFilter.HIERARCHICAL
-    near = graph.near[hier]
+    near = graph.near[hierarchical]
     start = number[src]
     pending = {number[t] for t in targets}
     pending.discard(start)
@@ -101,7 +98,7 @@ def paths_from(
                 break
         frontier = next_frontier
 
-    iris, step = graph.iris, graph.step[hier]
+    iris, step = graph.iris, graph.step[hierarchical]
     found = {}
     for target in targets:
         node = number[target]
@@ -114,17 +111,6 @@ def paths_from(
             predicates = tuple(step[a][near[a].index(b)] for a, b in zip(nodes, nodes[1:]))
             found[target] = PathResult(len(predicates), tuple(iris[i] for i in nodes), predicates)
     return found
-
-
-def shortest_path(
-    graph: OntologyGraph,
-    src: str,
-    dst: str,
-    edge_filter: EdgeFilter,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> PathResult | None:
-    """``paths_from`` for one target: its path, or None if out of reach."""
-    return paths_from(graph, src, (dst,), edge_filter, max_depth).get(dst)
 
 
 def enumerate_pairs(matches: list[ConceptMatch]) -> list[tuple[str, str, str]]:
@@ -155,8 +141,8 @@ def compare_from(
     """
     if any(dst < src for dst in question_ids):
         raise ValueError(f"every dst must sort at or after src <{src}>")
-    hierarchical = paths_from(graph, src, question_ids, EdgeFilter.HIERARCHICAL, max_depth)
-    full = paths_from(graph, src, question_ids, EdgeFilter.ALL, max_depth)
+    hierarchical = paths_from(graph, src, question_ids, True, max_depth)
+    full = paths_from(graph, src, question_ids, False, max_depth)
     records = []
     for dst, ids in question_ids.items():
         hier_path, full_path = hierarchical.get(dst), full.get(dst)
@@ -167,13 +153,3 @@ def compare_from(
         )
         records.append(ConnectionRecord(src, dst, hier_path, full_path, optimal, ids))
     return records
-
-
-def compare(
-    graph: OntologyGraph,
-    pair: tuple[str, str],
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> ConnectionRecord:
-    """``compare_from`` for one pair, taken in sorted order."""
-    concept_a, concept_b = sorted(pair)
-    return compare_from(graph, concept_a, {concept_b: ()}, max_depth)[0]

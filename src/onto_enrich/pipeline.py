@@ -3,7 +3,7 @@
 Stage order: parse corpus, load lexicon/stoplist, build graph and label
 index, match every question, enumerate co-occurring concept pairs, compare
 hierarchical against full shortest paths for every unique pair (one search
-per source concept and edge filter), aggregate question ids, and emit a
+of each kind per source concept), aggregate question ids, and emit a
 deterministically ordered report. Every stage runs once, in order, in the
 calling thread.
 
@@ -40,13 +40,10 @@ from .ontology import (
     build_label_index,
     parse_triples,
 )
-# compare is not called here; perfbench/tracer.py and perfbench/test_verify.py
-# look up pipeline.compare, until the tracer wraps compare_from instead
-from .pathfinder import (  # noqa: F401
+from .pathfinder import (
     DEFAULT_MAX_DEPTH,
     ConnectionRecord,
     PathResult,
-    compare,
     compare_from,
     enumerate_pairs,
 )

@@ -1,10 +1,10 @@
 """Independent oracles used by the test suite.
 
-The scoring and tokenizing specs come first: ``char_jaccard`` and
-``seq_similarity`` define the two-level match score one pair of sequences
-at a time, and ``tokenize`` and ``lemma`` define the steps that
-``normalize_phrase`` fuses into one pass. The program runs none of them;
-its scorer and normalizer are checked against them.
+The scoring and tokenizing specs come first: ``char_jaccard``,
+``pair_count`` and ``seq_similarity`` define the two-level match score one
+pair of sequences at a time, and ``tokenize`` and ``lemma`` define the
+steps that ``normalize_phrase`` fuses into one pass. The program runs none
+of them; its scorer and normalizer are checked against them.
 
 The all-pairs shortest-path oracle is a straight Floyd-Warshall over a dense
 numpy matrix — deliberately nothing like the package's BFS, so the two can
@@ -13,12 +13,12 @@ its one target, where the package's search serves every target of a source
 in one sweep; both must give each target the same path and tie-break. The
 brute-force path oracle states that tie-break as a property: it lists every
 shortest path and takes the lexicographically smallest node sequence. The
-greedy pairing oracle scores one phrase against every entry with plain
-per-entry loops over sorted codepoint arrays, where the package's scorer
-counts shared characters for all rows at once in bitmasks and pairs every
-entry at once over entry bitmasks. The JSON report oracle is the standard
-library's generic indenting encoder over a plain dict of the report, where
-the package writes the report's fixed schema directly.
+greedy pairing oracle, ``reference_counts``, runs ``pair_count`` on the
+phrase and each entry in turn over character sets, where the package's
+scorer counts shared characters for all rows at once in bitmasks and pairs
+every entry at once over entry bitmasks. The JSON report oracle is the
+standard library's generic indenting encoder over a plain dict of the
+report, where the package writes the report's fixed schema directly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from onto_enrich.errors import EmptySequenceError, UnknownConceptError
 from onto_enrich.ontology import OntologyGraph
-from onto_enrich.pathfinder import DEFAULT_MAX_DEPTH, EdgeFilter, PathResult
+from onto_enrich.pathfinder import DEFAULT_MAX_DEPTH, PathResult
 from onto_enrich.pipeline import Report
 
 INF = np.inf
@@ -49,16 +49,13 @@ def char_jaccard(a: str, b: str) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def seq_similarity(a: tuple[str, ...], b: tuple[str, ...], word_threshold: float) -> float:
-    """Greedy fuzzy-overlap score of two non-empty lemma sequences.
+def pair_count(a: tuple[str, ...], b: tuple[str, ...], word_threshold: float) -> int:
+    """Pairs the greedy fuzzy overlap of two lemma sequences makes.
 
     Tokens of ``a`` are taken in order; each pairs with the not-yet-paired
     token of ``b`` of maximal char_jaccard among those >= word_threshold
-    (ties resolve to the earliest position in ``b``). With m matched pairs
-    the score is m / (|a| + |b| - m).
+    (ties resolve to the earliest position in ``b``).
     """
-    if not a or not b:
-        raise EmptySequenceError("seq_similarity requires non-empty sequences")
     taken = [False] * len(b)
     m = 0
     for ta in a:
@@ -74,7 +71,27 @@ def seq_similarity(a: tuple[str, ...], b: tuple[str, ...], word_threshold: float
         if best_k >= 0:
             taken[best_k] = True
             m += 1
+    return m
+
+
+def seq_similarity(a: tuple[str, ...], b: tuple[str, ...], word_threshold: float) -> float:
+    """Greedy fuzzy-overlap score of two non-empty lemma sequences.
+
+    With m = ``pair_count(a, b, word_threshold)`` matched pairs the score is
+    m / (|a| + |b| - m).
+    """
+    if not a or not b:
+        raise EmptySequenceError("seq_similarity requires non-empty sequences")
+    m = pair_count(a, b, word_threshold)
     return m / (len(a) + len(b) - m)
+
+
+def reference_counts(phrase: tuple[str, ...], entries: list[tuple[str, ...]],
+                     word_threshold: float) -> tuple[list[int], list[int]]:
+    """Per-entry lists (m, d) of a phrase against lemma sequences: m is
+    ``pair_count`` and d is |A| + |B| - m."""
+    m = [pair_count(phrase, entry, word_threshold) for entry in entries]
+    return m, [len(phrase) + len(entry) - mj for mj, entry in zip(m, entries)]
 
 
 def tokenize(text: str) -> list[str]:
@@ -123,15 +140,16 @@ def bfs_path_reference(
     graph: OntologyGraph,
     src: str,
     dst: str,
-    edge_filter: EdgeFilter,
+    hierarchical: bool,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> PathResult | None:
     """BFS shortest path of length <= max_depth, or None if out of reach.
 
-    Edges are traversed as undirected. Among equal-length paths the result
-    is the one BFS reaches first when every node expands its neighbors in
-    ascending (neighbor iri, predicate iri) order, which pins the output
-    byte-for-byte across runs. The adjacency is built here from
+    With ``hierarchical`` set, only edges under the graph's hierarchy
+    predicates count. Edges are traversed as undirected. Among equal-length
+    paths the result is the one BFS reaches first when every node expands
+    its neighbors in ascending (neighbor iri, predicate iri) order, which
+    pins the output byte-for-byte across runs. The adjacency is built here from
     ``graph.edges``, apart from the graph's own search tables.
     """
     if src not in graph.concepts:
@@ -143,10 +161,9 @@ def bfs_path_reference(
     if src == dst:
         return PathResult(0, (src,), ())
 
-    hier = edge_filter is EdgeFilter.HIERARCHICAL
     adjacency: dict[str, set[tuple[str, str]]] = {}
     for subject, predicate, obj in graph.edges:
-        if not hier or predicate in graph.hierarchical_predicates:
+        if not hierarchical or predicate in graph.hierarchical_predicates:
             adjacency.setdefault(subject, set()).add((obj, predicate))
             adjacency.setdefault(obj, set()).add((subject, predicate))
     came_from: dict[str, tuple[str, str]] = {src: ("", "")}
@@ -171,7 +188,7 @@ def lexmin_shortest_path(
     graph: OntologyGraph,
     src: str,
     dst: str,
-    edge_filter: EdgeFilter,
+    hierarchical: bool,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> PathResult | None:
     """The reported path by its definition, or None if out of reach.
@@ -179,13 +196,12 @@ def lexmin_shortest_path(
     Lists every path of the shortest length <= max_depth over the graph's
     edges, traversed as undirected, and takes the lexicographically smallest
     node sequence; each step takes the smallest predicate joining its two
-    nodes under the edge filter. Exponential in the path length: small
+    nodes among the traversed edges. Exponential in the path length: small
     graphs only.
     """
-    hier = edge_filter is EdgeFilter.HIERARCHICAL
     joining: dict[str, dict[str, set[str]]] = {}
     for subject, predicate, obj in graph.edges:
-        if not hier or predicate in graph.hierarchical_predicates:
+        if not hierarchical or predicate in graph.hierarchical_predicates:
             joining.setdefault(subject, {}).setdefault(obj, set()).add(predicate)
             joining.setdefault(obj, {}).setdefault(subject, set()).add(predicate)
     paths = [(src,)]
@@ -230,84 +246,6 @@ def random_typed_graph(rng, max_nodes: int = 50, edge_prob: float = 0.1) -> Onto
                 subject, obj = (nodes[i], nodes[j]) if rng.random() < 0.5 else (nodes[j], nodes[i])
                 triples.append((subject, predicate, obj))
     return build_graph(triples, hierarchical_predicates={"p:hier"})
-
-
-def pack_lemmas(sequences: list[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted distinct codepoints of every lemma of ``sequences``, flat.
-
-    Returns (codepoints, lemma offsets, sequence offsets): lemma ``k`` is
-    ``codepoints[cp_off[k]:cp_off[k + 1]]`` and sequence ``j`` owns lemmas
-    ``lem_off[j]`` to ``lem_off[j + 1] - 1``.
-    """
-    cp: list[int] = []
-    cp_off = [0]
-    lem_off = [0]
-    for seq in sequences:
-        for lemma in seq:
-            cp.extend(sorted({ord(c) for c in lemma}))
-            cp_off.append(len(cp))
-        lem_off.append(len(cp_off) - 1)
-    return (np.asarray(cp, dtype=np.int32), np.asarray(cp_off, dtype=np.int64),
-            np.asarray(lem_off, dtype=np.int64))
-
-
-def greedy_counts_loops(q_cp, q_off, e_cp, e_cp_off, e_lem_off, word_threshold):
-    """Greedy fuzzy-match counts of one phrase against every index entry.
-
-    Phrase lemmas are taken in order; each pairs with the unused entry lemma
-    of maximal character Jaccard among those clearing ``word_threshold``,
-    earliest position winning ties. Returns per-entry arrays (m, d): matched
-    pair count and |A| + |B| - m.
-    """
-    n_entries = e_lem_off.size - 1
-    m_out = np.zeros(n_entries, dtype=np.int64)
-    d_out = np.zeros(n_entries, dtype=np.int64)
-    na = q_off.size - 1
-    for j in range(n_entries):
-        lem_lo = e_lem_off[j]
-        nb = e_lem_off[j + 1] - lem_lo
-        taken = np.zeros(nb, dtype=np.bool_)
-        m = 0
-        for i in range(na):
-            a_lo = q_off[i]
-            a_hi = q_off[i + 1]
-            best_k = -1
-            best_cj = -1.0
-            for k in range(nb):
-                if taken[k]:
-                    continue
-                b_lo = e_cp_off[lem_lo + k]
-                b_hi = e_cp_off[lem_lo + k + 1]
-                inter = 0
-                x = a_lo
-                y = b_lo
-                while x < a_hi and y < b_hi:
-                    if q_cp[x] == e_cp[y]:
-                        inter += 1
-                        x += 1
-                        y += 1
-                    elif q_cp[x] < e_cp[y]:
-                        x += 1
-                    else:
-                        y += 1
-                union = (a_hi - a_lo) + (b_hi - b_lo) - inter
-                cj = 1.0 if union == 0 else inter / union
-                if cj >= word_threshold and cj > best_cj:
-                    best_cj = cj
-                    best_k = k
-            if best_k >= 0:
-                taken[best_k] = True
-                m += 1
-        m_out[j] = m
-        d_out[j] = na + nb - m
-    return m_out, d_out
-
-
-def reference_counts(phrase: tuple[str, ...], entries: list[tuple[str, ...]],
-                     word_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """``greedy_counts_loops`` of a phrase against lemma sequences."""
-    q_cp, q_off, _ = pack_lemmas([phrase])
-    return greedy_counts_loops(q_cp, q_off, *pack_lemmas(entries), word_threshold)
 
 
 def _path_dict(path: PathResult | None):

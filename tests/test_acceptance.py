@@ -12,7 +12,7 @@ import numpy as np
 from onto_enrich import Scorer, parse_corpus
 from onto_enrich.corpus import PhraseKind, PhraseSource, extract_phrases
 from onto_enrich.matcher import match_question
-from onto_enrich.pathfinder import EdgeFilter, shortest_path
+from onto_enrich.pathfinder import paths_from
 from onto_enrich.pipeline import RunConfig, run, serialize_report
 from oracles import char_jaccard, graph_distances, lemma, random_typed_graph, seq_similarity
 
@@ -77,11 +77,11 @@ def test_criterion_2_oracle_equivalence():
         iris = sorted(graph.concepts)
         n = len(iris)
         for hierarchical in (True, False):
-            edge_filter = EdgeFilter.HIERARCHICAL if hierarchical else EdgeFilter.ALL
             oracle = graph_distances(graph, hierarchical_only=hierarchical)
             for i, a in enumerate(iris):
+                found = paths_from(graph, a, iris[i:], hierarchical, max_depth=n)
                 for b in iris[i:]:
-                    result = shortest_path(graph, a, b, edge_filter, max_depth=n)
+                    result = found.get(b)
                     expected = oracle[(a, b)]
                     if result is None:
                         assert np.isinf(expected), (a, b)
@@ -98,9 +98,10 @@ def test_criterion_3_filter_monotonicity():
         iris = sorted(graph.concepts)
         n = len(iris)
         for i, a in enumerate(iris):
+            hier_from = paths_from(graph, a, iris[i + 1:], True, max_depth=n)
+            full_from = paths_from(graph, a, iris[i + 1:], False, max_depth=n)
             for b in iris[i + 1:]:
-                hier = shortest_path(graph, a, b, EdgeFilter.HIERARCHICAL, max_depth=n)
-                full = shortest_path(graph, a, b, EdgeFilter.ALL, max_depth=n)
+                hier, full = hier_from.get(b), full_from.get(b)
                 if hier is not None and full is not None and full.length > hier.length:
                     violations += 1
     assert violations == 0

@@ -39,7 +39,7 @@ tie_configs = st.builds(
 def _brute_force_match(seq, entries, config):
     """(entry, exact score) of the best label, or None below seq_threshold."""
     m, d = reference_counts(seq, [e.lemmas for e in entries], config.word_threshold)
-    scored = [(Fraction(int(mj), int(dj)), e) for mj, dj, e in zip(m, d, entries)
+    scored = [(Fraction(mj, dj), e) for mj, dj, e in zip(m, d, entries)
               if mj / dj >= config.seq_threshold]
     if not scored:
         return None

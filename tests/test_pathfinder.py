@@ -11,13 +11,11 @@ from onto_enrich.errors import UnknownConceptError
 from onto_enrich.matcher import ConceptMatch
 from onto_enrich.ontology import Literal, OntologyGraph, RelationEdge, build_graph
 from onto_enrich.pathfinder import (
-    EdgeFilter,
+    DEFAULT_MAX_DEPTH,
     PathResult,
-    compare,
     compare_from,
     enumerate_pairs,
     paths_from,
-    shortest_path,
 )
 from onto_enrich.pipeline import _compare_all
 from oracles import (
@@ -35,6 +33,10 @@ def _chain_graph():
     ])
 
 
+def _path(graph, src, dst, hierarchical, max_depth=DEFAULT_MAX_DEPTH):
+    return paths_from(graph, src, (dst,), hierarchical, max_depth).get(dst)
+
+
 def _match(iri: str, qid: str = "q1", ordinal: int = 0) -> ConceptMatch:
     phrase = MarkedPhrase(qid, PhraseKind.NP, iri, PhraseSource.QUESTION_TEXT, ordinal)
     return ConceptMatch(qid, phrase, iri, iri, 1.0)
@@ -43,12 +45,12 @@ def _match(iri: str, qid: str = "q1", ordinal: int = 0) -> ConceptMatch:
 class TestShortestPath:
     def test_reflexive(self):
         graph = _chain_graph()
-        result = shortest_path(graph, "c:A", "c:A", EdgeFilter.ALL)
+        result = _path(graph, "c:A", "c:A", False)
         assert result == PathResult(0, ("c:A",), ())
 
     def test_chain(self):
         graph = _chain_graph()
-        result = shortest_path(graph, "c:A", "c:C", EdgeFilter.HIERARCHICAL, 6)
+        result = _path(graph, "c:A", "c:C", True, 6)
         assert result.length == 2
         assert result.nodes == ("c:A", "c:B", "c:C")
         assert result.predicates == ("rdfs:subClassOf", "rdfs:subClassOf")
@@ -56,7 +58,7 @@ class TestShortestPath:
     def test_undirected_traversal(self):
         graph = _chain_graph()
         # subClassOf edges point A->B->C; search climbs them backwards too
-        result = shortest_path(graph, "c:C", "c:A", EdgeFilter.HIERARCHICAL)
+        result = _path(graph, "c:C", "c:A", True)
         assert result.length == 2
         assert result.nodes == ("c:C", "c:B", "c:A")
 
@@ -65,13 +67,13 @@ class TestShortestPath:
             ("c:A", "rdfs:subClassOf", "c:B"),
             ("c:A", "c:relatesTo", "c:C"),
         ])
-        assert shortest_path(graph, "c:A", "c:C", EdgeFilter.HIERARCHICAL) is None
-        assert shortest_path(graph, "c:A", "c:C", EdgeFilter.ALL).length == 1
+        assert _path(graph, "c:A", "c:C", True) is None
+        assert _path(graph, "c:A", "c:C", False).length == 1
 
     def test_fixture_detour(self, fixture_graph):
         pair = ("c:Perpendicular", "c:TriangleMiddleLine")
-        hier = shortest_path(fixture_graph, *pair, EdgeFilter.HIERARCHICAL, 6)
-        full = shortest_path(fixture_graph, *pair, EdgeFilter.ALL, 6)
+        hier = _path(fixture_graph, *pair, True, 6)
+        full = _path(fixture_graph, *pair, False, 6)
         assert hier.length == 4
         assert full.length == 3
         oracle = graph_distances(fixture_graph, hierarchical_only=False)
@@ -79,18 +81,18 @@ class TestShortestPath:
 
     def test_max_depth_cap(self, fixture_graph):
         pair = ("c:OppositeAnglesOfQuadrilateral", "c:RightAngle")
-        assert shortest_path(fixture_graph, *pair, EdgeFilter.HIERARCHICAL, 6).length == 6
-        assert shortest_path(fixture_graph, *pair, EdgeFilter.HIERARCHICAL, 5) is None
+        assert _path(fixture_graph, *pair, True, 6).length == 6
+        assert _path(fixture_graph, *pair, True, 5) is None
 
     def test_unknown_concept(self, fixture_graph):
         with pytest.raises(UnknownConceptError):
-            shortest_path(fixture_graph, "c:Nowhere", "c:Angle", EdgeFilter.ALL)
+            _path(fixture_graph, "c:Nowhere", "c:Angle", False)
         with pytest.raises(UnknownConceptError):
-            shortest_path(fixture_graph, "c:Angle", "c:Nowhere", EdgeFilter.ALL)
+            _path(fixture_graph, "c:Angle", "c:Nowhere", False)
 
     def test_max_depth_validated(self, fixture_graph):
         with pytest.raises(ValueError):
-            shortest_path(fixture_graph, "c:Angle", "c:Point", EdgeFilter.ALL, 0)
+            _path(fixture_graph, "c:Angle", "c:Point", False, 0)
 
     def test_tie_break_ascending_neighbor(self):
         # two equal-length routes A-B1-C and A-B2-C: BFS must pick B1
@@ -100,7 +102,7 @@ class TestShortestPath:
             ("c:B2", "p:r", "c:C"),
             ("c:B1", "p:r", "c:C"),
         ])
-        result = shortest_path(graph, "c:A", "c:C", EdgeFilter.ALL)
+        result = _path(graph, "c:A", "c:C", False)
         assert result.nodes == ("c:A", "c:B1", "c:C")
 
     def test_tie_break_ascending_predicate(self):
@@ -109,13 +111,13 @@ class TestShortestPath:
             ("c:A", "p:zz", "c:B"),
             ("c:A", "p:aa", "c:B"),
         ])
-        result = shortest_path(graph, "c:A", "c:B", EdgeFilter.ALL)
+        result = _path(graph, "c:A", "c:B", False)
         assert result.predicates == ("p:aa",)
 
     def test_deterministic(self, fixture_graph):
         pair = ("c:OppositeAnglesOfQuadrilateral", "c:RightAngle")
-        first = shortest_path(fixture_graph, *pair, EdgeFilter.ALL)
-        second = shortest_path(fixture_graph, *pair, EdgeFilter.ALL)
+        first = _path(fixture_graph, *pair, False)
+        second = _path(fixture_graph, *pair, False)
         assert first == second
 
 
@@ -141,29 +143,25 @@ class TestEnumeratePairs:
 
 class TestCompare:
     def test_equal_lengths_not_optimal(self, fixture_graph):
-        record = compare(fixture_graph, ("c:Rhombus", "c:Square"), 6)
+        record = compare_from(fixture_graph, "c:Rhombus", {"c:Square": ()}, 6)[0]
         assert record.hierarchical.length == record.full.length == 3
         assert record.optimal is False
 
     def test_engineered_optimal_pair(self, fixture_graph):
-        record = compare(
-            fixture_graph, ("c:OppositeAnglesOfQuadrilateral", "c:RightAngle"), 6)
+        record = compare_from(
+            fixture_graph, "c:OppositeAnglesOfQuadrilateral", {"c:RightAngle": ()}, 6)[0]
         assert record.optimal is True
         assert record.full.length == 4
         assert record.hierarchical.length == 6
 
     def test_hierarchically_disconnected(self, fixture_graph):
-        record = compare(fixture_graph, ("c:PythagoreanTheorem", "c:RightTriangle"), 6)
+        record = compare_from(fixture_graph, "c:PythagoreanTheorem", {"c:RightTriangle": ()}, 6)[0]
         assert record.hierarchical is None
         assert record.full is not None
         assert record.optimal is False
 
-    def test_pair_normalized(self, fixture_graph):
-        record = compare(fixture_graph, ("c:Square", "c:Rhombus"), 6)
-        assert (record.concept_a, record.concept_b) == ("c:Rhombus", "c:Square")
-
     def test_question_ids_left_empty(self, fixture_graph):
-        record = compare(fixture_graph, ("c:Rhombus", "c:Square"), 6)
+        record = compare_from(fixture_graph, "c:Rhombus", {"c:Square": ()}, 6)[0]
         assert record.question_ids == ()
 
 
@@ -184,13 +182,12 @@ class TestRandomGraphProperties:
             iris = sorted(graph.concepts)
             n = len(iris)
             for hier in (True, False):
-                edge_filter = EdgeFilter.HIERARCHICAL if hier else EdgeFilter.ALL
                 oracle = graph_distances(graph, hierarchical_only=hier)
                 sample = rng.sample(iris, min(8, n))
                 for a in sample:
                     for b in sample:
-                        result = shortest_path(graph, a, b, edge_filter, n)
-                        back = shortest_path(graph, b, a, edge_filter, n)
+                        result = _path(graph, a, b, hier, n)
+                        back = _path(graph, b, a, hier, n)
                         if result is None:
                             assert back is None
                             assert np.isinf(oracle[(a, b)])
@@ -209,7 +206,7 @@ class TestRandomGraphProperties:
                 for b in sample:
                     if a >= b:
                         continue
-                    record = compare(graph, (a, b), n)
+                    record = compare_from(graph, a, {b: ()}, n)[0]
                     if record.hierarchical is not None and record.full is not None:
                         assert record.full.length <= record.hierarchical.length
 
@@ -311,16 +308,16 @@ class TestPathsFrom:
     @example(_TIE_QUERY)
     def test_equals_per_pair_reference(self, query):
         graph, src, targets, max_depth = query
-        for edge_filter in EdgeFilter:
-            found = paths_from(graph, src, targets, edge_filter, max_depth)
-            expected = {t: bfs_path_reference(graph, src, t, edge_filter, max_depth)
+        for hierarchical in (True, False):
+            found = paths_from(graph, src, targets, hierarchical, max_depth)
+            expected = {t: bfs_path_reference(graph, src, t, hierarchical, max_depth)
                         for t in targets}
             assert found == {t: path for t, path in expected.items() if path is not None}
 
     def test_tie_break_pinned(self):
         graph, src, targets, max_depth = _TIE_QUERY
-        hier = paths_from(graph, src, targets, EdgeFilter.HIERARCHICAL, max_depth)
-        full = paths_from(graph, src, targets, EdgeFilter.ALL, max_depth)
+        hier = paths_from(graph, src, targets, True, max_depth)
+        full = paths_from(graph, src, targets, False, max_depth)
         assert hier["c:C"] == PathResult(2, ("c:A", "c:B1", "c:C"), ("p:hier", "p:hier"))
         assert full["c:C"] == PathResult(2, ("c:A", "c:B1", "c:C"), ("p:hier", "p:cross"))
         assert "c:D" not in hier and "c:D" not in full
@@ -331,9 +328,9 @@ class TestPathsFrom:
     def test_lengths_match_floyd_warshall_within_cap(self, query):
         graph, src, _, max_depth = query
         everything = sorted(graph.concepts)
-        for edge_filter in EdgeFilter:
-            oracle = graph_distances(graph, edge_filter is EdgeFilter.HIERARCHICAL)
-            found = paths_from(graph, src, everything, edge_filter, max_depth)
+        for hierarchical in (True, False):
+            oracle = graph_distances(graph, hierarchical)
+            found = paths_from(graph, src, everything, hierarchical, max_depth)
             for target in everything:
                 if oracle[src, target] <= max_depth:
                     assert found[target].length == oracle[src, target]
@@ -345,12 +342,12 @@ class TestPathsFrom:
 
     def test_unknown_concepts_and_depth_checked_before_search(self, fixture_graph):
         with pytest.raises(UnknownConceptError, match="c:Nowhere"):
-            paths_from(fixture_graph, "c:Angle", ["c:Point", "c:Nowhere"], EdgeFilter.ALL)
+            paths_from(fixture_graph, "c:Angle", ["c:Point", "c:Nowhere"], False)
         with pytest.raises(ValueError):
-            paths_from(fixture_graph, "c:Angle", [], EdgeFilter.ALL, 0)
+            paths_from(fixture_graph, "c:Angle", [], False, 0)
 
     def test_no_targets(self, fixture_graph):
-        assert paths_from(fixture_graph, "c:Angle", [], EdgeFilter.ALL) == {}
+        assert paths_from(fixture_graph, "c:Angle", [], False) == {}
 
     @settings(max_examples=200, deadline=None)
     @given(numbered_graphs())
@@ -360,10 +357,10 @@ class TestPathsFrom:
         graph, max_depth = query
         nodes = list(graph.concepts)
         for src in nodes:
-            for edge_filter in EdgeFilter:
-                found = paths_from(graph, src, nodes, edge_filter, max_depth)
+            for hierarchical in (True, False):
+                found = paths_from(graph, src, nodes, hierarchical, max_depth)
                 for dst in nodes:
-                    expected = lexmin_shortest_path(graph, src, dst, edge_filter, max_depth)
+                    expected = lexmin_shortest_path(graph, src, dst, hierarchical, max_depth)
                     assert found.get(dst) == expected
 
 
@@ -375,7 +372,7 @@ class TestCompareFrom:
         graph, src, targets, max_depth = query
         dsts = {t: () for t in targets if t >= src}
         assert compare_from(graph, src, dsts, max_depth) == [
-            compare(graph, (src, dst), max_depth) for dst in dsts]
+            compare_from(graph, src, {dst: ()}, max_depth)[0] for dst in dsts]
 
     @PROPERTY_SETTINGS
     @given(queries(), st.randoms(use_true_random=False))
@@ -399,10 +396,9 @@ class TestCompareFrom:
         for src in nodes:
             for record in compare_from(graph, src, {dst: () for dst in nodes if dst >= src},
                                        max_depth):
-                for path, edge_filter in ((record.hierarchical, EdgeFilter.HIERARCHICAL),
-                                          (record.full, EdgeFilter.ALL)):
+                for path, hierarchical in ((record.hierarchical, True), (record.full, False)):
                     assert path == lexmin_shortest_path(
-                        graph, src, record.concept_b, edge_filter, max_depth)
+                        graph, src, record.concept_b, hierarchical, max_depth)
 
     @PROPERTY_SETTINGS
     @given(pair_banks())

@@ -452,16 +452,6 @@ class TestOntologyReuse:
         assert _snapshot(index) == before
 
 
-class TestRunConfigValidation:
-    def test_bad_depth(self):
-        with pytest.raises(ValueError):
-            RunConfig(ontology="o", corpus="c", max_depth=0)
-
-    def test_bad_format(self):
-        with pytest.raises(ValueError):
-            RunConfig(ontology="o", corpus="c", format="xml")
-
-
 def _record_ab() -> ConnectionRecord:
     return ConnectionRecord(
         "A", "B",
@@ -654,7 +644,9 @@ def test_public_api_is_explicit():
     # the scoring and tokenizing specs live in tests/oracles.py, not the package
     assert not [name for name in ("char_jaccard", "seq_similarity", "tokenize")
                 if hasattr(onto_enrich, name)]
-    # plain values replaced these wrappers: dict, frozenset, tuples and Literal
-    gone = ("Lexicon", "Stoplist", "QuestionCorpus", "MarkedText", "Concept", "Label")
+    # plain values replaced these wrappers: dict, frozenset, tuples and Literal;
+    # paths_from's hierarchical bool and compare_from replaced the last three
+    gone = ("Lexicon", "Stoplist", "QuestionCorpus", "MarkedText", "Concept", "Label",
+            "EdgeFilter", "compare", "shortest_path")
     assert not [name for name in gone if hasattr(onto_enrich, name)]
     assert not set(gone) & set(onto_enrich.__all__)

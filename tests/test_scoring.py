@@ -78,8 +78,8 @@ def _dense_counts(phrase, entries, threshold):
 def _assert_matches_reference(phrase, entries, threshold):
     m, d = _dense_counts(phrase, entries, threshold)
     ref_m, ref_d = reference_counts(phrase, entries, threshold)
-    assert m == ref_m.tolist()
-    assert d == ref_d.tolist()
+    assert m == ref_m
+    assert d == ref_d
 
 
 def _mask(rows):
