@@ -23,7 +23,7 @@ from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.matcher import ConceptMatch
 from onto_enrich.ontology import parse_triples
 from onto_enrich.pathfinder import ConnectionRecord, PathResult
-from onto_enrich.pipeline import Report, RunConfig, serialize_report
+from onto_enrich.report import Report, RunConfig, serialize_report
 
 WORDS = [
     "triangle", "middle", "line", "angle", "right", "circle", "chord", "vertex",

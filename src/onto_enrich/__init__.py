@@ -51,7 +51,8 @@ from .pathfinder import (
     enumerate_pairs,
     paths_from,
 )
-from .pipeline import Report, RunConfig, run, serialize_report
+from .pipeline import run
+from .report import Report, RunConfig, serialize_report
 from .textnorm import load_lexicon, load_stoplist, normalize_phrase
 
 __all__ = [

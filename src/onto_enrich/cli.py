@@ -18,7 +18,8 @@ from contextlib import contextmanager
 
 from .errors import InternalInvariantError, OntoEnrichError
 from .matcher import MatchConfig
-from .pipeline import OUTPUT_FORMATS, RunConfig, run, serialize_report
+from .pipeline import run
+from .report import OUTPUT_FORMATS, RunConfig, serialize_report
 
 
 class _Parser(argparse.ArgumentParser):

@@ -5,11 +5,13 @@ from pathlib import Path
 import pytest
 
 from onto_enrich import (
+    RunConfig,
     build_graph,
     build_label_index,
     load_lexicon,
     parse_corpus,
     parse_triples,
+    run,
 )
 from onto_enrich.textnorm import DEFAULT_STOPLIST
 
@@ -45,3 +47,12 @@ def fixture_index(fixture_graph, fixture_lexicon):
 @pytest.fixture(scope="session")
 def fixture_corpus():
     return parse_corpus((FIXTURES / "corpus.xml").read_bytes())
+
+
+@pytest.fixture(scope="session")
+def fixture_report():
+    return run(RunConfig(
+        ontology=str(FIXTURES / "ontology.nt"),
+        corpus=str(FIXTURES / "corpus.xml"),
+        lexicon=str(FIXTURES / "lexicon.tsv"),
+    ))

@@ -32,7 +32,7 @@ import numpy as np
 from onto_enrich.errors import EmptySequenceError, UnknownConceptError
 from onto_enrich.ontology import OntologyGraph
 from onto_enrich.pathfinder import DEFAULT_MAX_DEPTH, PathResult
-from onto_enrich.pipeline import Report
+from onto_enrich.report import Report
 
 INF = np.inf
 

@@ -13,7 +13,8 @@ from onto_enrich import Scorer, parse_corpus
 from onto_enrich.corpus import PhraseKind, PhraseSource, extract_phrases
 from onto_enrich.matcher import match_question
 from onto_enrich.pathfinder import paths_from
-from onto_enrich.pipeline import RunConfig, run, serialize_report
+from onto_enrich.pipeline import run
+from onto_enrich.report import RunConfig, serialize_report
 from oracles import char_jaccard, graph_distances, lemma, random_typed_graph, seq_similarity
 
 FIXTURE_CONFIG = RunConfig(

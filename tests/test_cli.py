@@ -10,7 +10,7 @@ import pytest
 from onto_enrich import cli
 from onto_enrich.cli import build_parser, main
 from onto_enrich.matcher import MatchConfig
-from onto_enrich.pipeline import RunConfig
+from onto_enrich.report import RunConfig
 
 FIXTURE_ARGS = [
     "--ontology", "fixtures/ontology.nt",
@@ -35,12 +35,13 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
 
-    def test_csv_format(self, in_repo_root, tmp_path):
+    def test_csv_format(self, in_repo_root, repo_root, tmp_path):
         out = tmp_path / "report.csv"
         assert main(FIXTURE_ARGS + ["--format", "csv", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("concept_a,concept_b,hier_len")
         assert len(lines) == 5
+        assert out.read_bytes() == (repo_root / "tests/golden/fixture_report.csv").read_bytes()
 
     def test_optimal_only(self, in_repo_root, tmp_path):
         out = tmp_path / "report.json"
@@ -148,6 +149,16 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 1" in err and "bad.nt" in err
+
+    @pytest.mark.parametrize("flag", [
+        "--ontology", "--corpus", "--lexicon", "--stoplist", "--label-lang"])
+    def test_empty_value_exits_one_before_output(self, in_repo_root, tmp_path, capsys, flag):
+        # an empty path or tag is refused, not read as "absent" or as "."
+        out = tmp_path / "r.json"
+        assert main(FIXTURE_ARGS + [flag, "", "--out", str(out)]) == 1
+        field = flag[2:].replace("-", "_")
+        assert f"error: {field} must not be empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -14,7 +14,7 @@ from onto_enrich.errors import InternalInvariantError
 from onto_enrich.matcher import ConceptMatch, MatchConfig
 from onto_enrich.ontology import Literal, OntologyGraph, RelationEdge
 from onto_enrich.pathfinder import ConnectionRecord, PathResult
-from onto_enrich.pipeline import Report, RunConfig, _check_report
+from onto_enrich.report import Report, RunConfig, _check_report
 
 PHRASE = MarkedPhrase("q1", PhraseKind.NP, "right angle", PhraseSource.QUESTION_TEXT, 0)
 PATH = PathResult(1, ("c:A", "c:B"), ("rdfs:subClassOf",))
@@ -142,6 +142,12 @@ class TestConfigValidation:
         pytest.param("hierarchical_predicates", ["rdfs:subClassOf", None],
                      "hierarchical_predicates must be a tuple or list of str, "
                      "got ['rdfs:subClassOf', None]", id="hierarchical_predicates-non-str"),
+        # an empty path or tag is refused, not read as absent or as "."
+        pytest.param("ontology", "", "ontology must not be empty", id="ontology-empty"),
+        pytest.param("corpus", "", "corpus must not be empty", id="corpus-empty"),
+        pytest.param("lexicon", "", "lexicon must not be empty", id="lexicon-empty"),
+        pytest.param("stoplist", "", "stoplist must not be empty", id="stoplist-empty"),
+        pytest.param("label_lang", "", "label_lang must not be empty", id="label_lang-empty"),
         pytest.param("optimal_only", "no", "optimal_only must be a bool, got 'no'",
                      id="optimal_only-str"),
         pytest.param("optimal_only", 1, "optimal_only must be a bool, got 1",
