@@ -16,8 +16,9 @@ holding that row at that position. ``pair_counts`` then runs the greedy
 pairing for every entry at once, one mask operation per (Jaccard group,
 position), and keeps the per-entry pair counts as bit planes
 (bit-parallelism in the sense of Myers, JACM 1999). The lowest set bit of a
-mask is the entry that wins a tie. A ``Scorer`` does one run's matching with
-memos of its own, so the index is never written after construction.
+mask is the entry that wins a tie. A ``Scorer`` does the matching with memos
+of its own, or with word memos handed to it, so the index is never written
+after construction.
 """
 
 from operator import itemgetter
@@ -51,7 +52,8 @@ class LabelIndex:
     of every entry per position, the free positions before any pairing.
 
     The tables never change after construction, so ``pipeline.run`` keeps one
-    index for many runs; each run's memos live in its own ``Scorer``.
+    index for many runs; every memo over it lives outside it, in a ``Scorer``
+    or in ``pipeline``'s word memos.
     """
 
     def __init__(self, entries: Iterable[IndexEntry]):
@@ -86,21 +88,30 @@ class LabelIndex:
 
 
 class Scorer:
-    """Matching against ``index`` at fixed thresholds, for one run.
+    """Matching against ``index`` at fixed thresholds.
 
-    The memos hold one run's work and grow with it; the index is shared and
-    never written. ``pairable`` maps a lemma to its ``_pairable`` groups,
+    The memos grow with the phrases scored; the index is shared and never
+    written. ``pairable`` maps a lemma to its ``_pairable`` groups,
     ``overlaps`` a character count to its ``_overlaps`` table, ``walks`` a
     phrase length to its ``_walk`` and ``winners`` a lemma sequence to what
     ``best`` gave. No key holds a threshold: a scorer's never change.
+
+    The word memos, ``pairable`` and ``overlaps``, depend only on the index
+    and the word threshold, so scorers over one index at one word threshold
+    may share them: pass the dicts of an earlier such scorer, as
+    ``pipeline.run`` does. Their values are tuples, which no scorer changes.
+    Without them a scorer starts with empty memos of its own.
     """
 
-    def __init__(self, index: LabelIndex, word_threshold: float, seq_threshold: float):
+    def __init__(self, index: LabelIndex, word_threshold: float, seq_threshold: float,
+                 pairable: dict | None = None, overlaps: dict | None = None):
         self.index = index
         self.word_threshold = word_threshold
         self.seq_threshold = seq_threshold
-        self.pairable: dict[str, tuple[int, list[list[tuple[int, int]]]]] = {}
-        self.overlaps: dict[int, list[tuple[float, int, int]]] = {}
+        self.pairable: dict[str, tuple[int, tuple[tuple[tuple[int, int], ...], ...]]] = \
+            {} if pairable is None else pairable
+        self.overlaps: dict[int, tuple[tuple[float, int, int], ...]] = \
+            {} if overlaps is None else overlaps
         self.walks: dict[int, list[tuple[float, list[tuple[int, int]]]]] = {}
         self.winners: dict[LemmaSequence, tuple[IndexEntry, float] | None] = {}
 
@@ -166,7 +177,7 @@ def _at_least(planes: list[int], k: int, rows: int) -> int:
 
 
 def _overlaps(size_rows: dict[int, int], n: int,
-              word_threshold: float) -> list[tuple[float, int, int]]:
+              word_threshold: float) -> tuple[tuple[float, int, int], ...]:
     """(Jaccard, overlap i, rows of size s) for every (i, s) that pairs.
 
     Covers every row size s and every count i of characters that a set of
@@ -177,10 +188,12 @@ def _overlaps(size_rows: dict[int, int], n: int,
         # two empty sets count as equal, as in the char_jaccard spec (tests/oracles.py)
         (i / (n + s - i) if n + s else 1.0, i, rows)
         for s, rows in size_rows.items() for i in range(min(n, s) + 1)]
-    return sorted((t for t in table if t[0] >= word_threshold), key=itemgetter(0), reverse=True)
+    return tuple(sorted((t for t in table if t[0] >= word_threshold),
+                        key=itemgetter(0), reverse=True))
 
 
-def _pairable(scorer: Scorer, lemma: str) -> tuple[int, list[list[tuple[int, int]]]]:
+def _pairable(scorer: Scorer,
+              lemma: str) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
     """Entries that ``lemma`` can pair with, grouped by character Jaccard.
 
     Returns the mask of the entries holding a row lemma whose Jaccard with
@@ -188,6 +201,7 @@ def _pairable(scorer: Scorer, lemma: str) -> tuple[int, list[list[tuple[int, int
     value, highest first. A group lists, by ascending position k, the mask
     of the entries holding a row of that Jaccard at k. Equal floats from
     different (overlap, size) pairs, such as 2/4 and 3/6, form one group.
+    Both are tuples, so a memo shared between scorers cannot be changed.
     """
     index = scorer.index
     chars = frozenset(lemma)
@@ -216,10 +230,10 @@ def _pairable(scorer: Scorer, lemma: str) -> tuple[int, list[list[tuple[int, int
             rows ^= low
             for k, entries in index.row_positions[low.bit_length() - 1]:
                 at[k] = at.get(k, 0) | entries
-        groups.append(sorted(at.items()))
+        groups.append(tuple(sorted(at.items())))
         for entries in at.values():
             union |= entries
-    return union, groups
+    return union, tuple(groups)
 
 
 def pair_counts(scorer: Scorer, seq: LemmaSequence) -> list[int]:

@@ -9,8 +9,11 @@ records. Every stage runs once, in order, in the calling thread.
 Three memos of one entry each keep the parsed lexicon, the parsed stoplist,
 and the graph, label index and index warnings, each keyed by the bytes and
 settings it depends on, so repeated runs over unchanged inputs parse and
-build nothing again: see ``_load_ontology``. Each run's scoring memos live in
-its own ``Scorer``.
+build nothing again: see ``_load_ontology``. A fourth memo of one entry,
+``_words``, keeps the word-level scoring memos of the loaded label index at
+one word threshold, so repeated runs do not filter the same lemmas against
+the index again; each run's winners and score walks live in its own
+``Scorer``.
 """
 
 import functools
@@ -48,7 +51,9 @@ def run(config: RunConfig) -> Report:
     with _file_context(config.corpus):
         questions = parse_corpus(Path(config.corpus).read_bytes())
     lexicon, stoplist, graph, index, warnings = _load_ontology(config)
-    scorer = Scorer(index, *config.match)  # the run's memos; the kept index is never written
+    # the kept word memos and the run's own winners; the kept index is never written
+    pairable, overlaps = _words(index, config.match.word_threshold)
+    scorer = Scorer(index, *config.match, pairable=pairable, overlaps=overlaps)
 
     matches = [match_question(extract_phrases(q), scorer, lexicon, stoplist) for q in questions]
 
@@ -105,6 +110,20 @@ def _ontology(data, lexicon_data, stoplist_data, label_predicates, hierarchical_
     index = build_label_index(
         graph, _lexicon(lexicon_data), _stoplist(stoplist_data), on_warning=warnings.append)
     return graph, index, tuple(warnings)
+
+
+@functools.lru_cache(maxsize=1)
+def _words(index, word_threshold):
+    """The word memos, ``Scorer.pairable`` and ``Scorer.overlaps``, that every
+    run over ``index`` at ``word_threshold`` shares.
+
+    They hold one entry per distinct lemma and per character count scored
+    with this index and threshold, and are freed when either changes. They
+    need no lock, although concurrent runs read and fill them: each value is
+    a tuple computed from its key alone, a dict store is atomic under the
+    GIL, and two runs racing on one key only compute an equal value twice.
+    """
+    return {}, {}
 
 
 def _load_ontology(config: RunConfig):

@@ -160,7 +160,7 @@ def golden(repo_root):
     return (repo_root / "tests/golden/fixture_report.json").read_bytes()
 
 
-_MEMOS = (pipeline._lexicon, pipeline._stoplist, pipeline._ontology)
+_MEMOS = (pipeline._lexicon, pipeline._stoplist, pipeline._ontology, pipeline._words)
 
 
 def _clear_memos():
@@ -171,7 +171,7 @@ def _clear_memos():
 @pytest.fixture()
 def fixture_copy(repo_root, tmp_path, monkeypatch):
     """A copy of fixtures/ under a new working directory, free to rewrite;
-    FIXTURE_CONFIG names its files. The load memos start empty."""
+    FIXTURE_CONFIG names its files. The load and word memos start empty."""
     shutil.copytree(repo_root / "fixtures", tmp_path / "fixtures")
     monkeypatch.chdir(tmp_path)
     _clear_memos()
@@ -212,6 +212,20 @@ _CONCEPTS = ("c:Square", "c:Rhombus", "c:RightAngle", "c:Perpendicular",
              "c:TriangleMiddleLine", "c:Diameter", "c:Circle", "c:Line")
 _WORDS = ("ruler", "compass", "dodecahedron", "five", "middle", "lines", "angles", "center")
 _PREDICATES = ("rdfs:label", "rdfs:subClassOf", "ome:hasChild", "ome:relatedTo", "ome:partOf")
+
+
+def _at(config, word_threshold):
+    """``config`` at another word threshold."""
+    return config._replace(match=config.match._replace(word_threshold=word_threshold))
+
+
+_OTHER = FIXTURE_CONFIG._replace(ontology="fixtures/other.nt")
+
+
+def _write_other():
+    """Write _OTHER's ontology: the fixture's with one more label."""
+    Path(_OTHER.ontology).write_bytes(
+        Path(FIXTURE_CONFIG.ontology).read_bytes() + _RULER_LABEL.encode())
 
 
 @st.composite
@@ -290,7 +304,7 @@ class TestOntologyReuse:
             assert _report(config) == fresh[which]
             assert _report(config) == fresh[which]
             assert _builds() == (misses + 1, hits + 1)
-            assert [memo.cache_info().currsize for memo in _MEMOS] == [1, 1, 1]
+            assert [memo.cache_info().currsize for memo in _MEMOS] == [1, 1, 1, 1]
 
     def test_ontology_rewritten_in_place_is_read_again(self, fixture_copy, golden):
         ontology = Path("fixtures/ontology.nt")
@@ -395,21 +409,25 @@ class TestOntologyReuse:
 
     def test_concurrent_runs_each_score_afresh(self, fixture_copy, golden):
         # four threads on two cores, two on the fixture and two on another
-        # ontology, so the memo is hit and replaced while runs are going:
-        # every run gives its fresh report and scores every sequence itself
-        other = FIXTURE_CONFIG._replace(ontology="fixtures/other.nt")
-        Path(other.ontology).write_bytes(
-            Path(FIXTURE_CONFIG.ontology).read_bytes() + _RULER_LABEL.encode())
-        fresh = {config: _report(config) for config in (other, FIXTURE_CONFIG)}
+        # ontology, each alternating two word thresholds from its own start,
+        # so the load and word memos are hit, filled and replaced while runs
+        # are going: every run gives its fresh report and scores every
+        # sequence itself
+        _write_other()
+        pairs = [(FIXTURE_CONFIG, _at(FIXTURE_CONFIG, 0.5)), (_OTHER, _at(_OTHER, 0.5))]
+        fresh = {}
+        for config in (c for pair in pairs for c in pair):
+            pipeline._words.cache_clear()
+            fresh[config] = _report(config)
         assert fresh[FIXTURE_CONFIG][0] == golden
         index = pipeline._load_ontology(FIXTURE_CONFIG)[3]
         before = _snapshot(index)
         barrier = threading.Barrier(4)
 
-        def work(config, counts):
+        def work(configs, counts):
             barrier.wait(timeout=60)
             results = []
-            for _ in range(5):
+            for config in configs:
                 before = counts[threading.get_ident()]
                 payload = serialize_report(run(config), "json")
                 results.append((payload, counts[threading.get_ident()] - before))
@@ -419,14 +437,81 @@ class TestOntologyReuse:
         sys.setswitchinterval(1e-5)
         try:
             with _counting_scores() as counts, ThreadPoolExecutor(4) as pool:
-                configs = [FIXTURE_CONFIG, other, FIXTURE_CONFIG, other]
-                futures = [pool.submit(work, config, counts) for config in configs]
+                plans = [[pair[(i + start) % 2] for i in range(6)]
+                         for start in (0, 1) for pair in pairs]
+                futures = [pool.submit(work, plan, counts) for plan in plans]
                 results = [future.result(timeout=120) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert results == [[fresh[config]] * 5 for config in configs]
+        assert results == [[fresh[config] for config in plan] for plan in plans]
         # the fixture's kept index, which the threads' first runs share, is as it was
         assert _snapshot(index) == before
+
+
+class TestWordMemos:
+    """run() keeps the word memos of the loaded index at one word threshold,
+    pipeline._words, for the runs after it; its reports must not tell a
+    kept memo from a fresh one."""
+
+    def test_kept_per_index_and_threshold(self, fixture_copy, golden, monkeypatch):
+        computed = Counter()
+        pairable = _scoring._pairable
+
+        def counted(scorer, lemma):
+            computed[scorer.word_threshold] += 1
+            return pairable(scorer, lemma)
+
+        monkeypatch.setattr(_scoring, "_pairable", counted)
+        assert _report(FIXTURE_CONFIG)[0] == golden
+        first = computed[0.75]
+        assert first > 0
+        # the second run computes no group; the memo holds tuples only
+        assert _report(FIXTURE_CONFIG)[0] == golden
+        assert computed == {0.75: first}
+        index = pipeline._load_ontology(FIXTURE_CONFIG)[3]
+        kept_pairable, kept_overlaps = pipeline._words(index, 0.75)
+        assert len(kept_pairable) == first
+        for union, groups in kept_pairable.values():
+            assert type(union) is int and type(groups) is tuple
+            assert all(type(group) is tuple for group in groups)
+        assert kept_overlaps and all(type(t) is tuple for t in kept_overlaps.values())
+        # another word threshold computes its own groups, and then keeps
+        # only them: the first threshold's are computed again
+        lower = _report(_at(FIXTURE_CONFIG, 0.5))
+        assert computed[0.5] > 0 and computed[0.75] == first
+        assert _report(_at(FIXTURE_CONFIG, 0.5)) == lower
+        assert _report(FIXTURE_CONFIG)[0] == golden
+        assert computed[0.75] == 2 * first
+        assert pipeline._words.cache_info().currsize == 1
+        # a run on another ontology frees the first one's index, which
+        # every word memo entry holds in its key
+        _write_other()
+        kept = weakref.ref(index)
+        del index
+        gc.collect()
+        assert kept() is not None
+        run(_OTHER)
+        gc.collect()
+        assert kept() is None
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.sampled_from((FIXTURE_CONFIG, _OTHER)),
+                              st.sampled_from((0, 0.0, 0.5, 0.75, 1, 1.0))),
+                    min_size=2, max_size=8))
+    def test_interleaved_runs_report_as_fresh_runs(self, fixture_copy, runs):
+        # runs that switch ontology and word threshold in any order: each
+        # report, and the number of sequences its run scores, is that of the
+        # same config run with the word memos emptied
+        _write_other()
+        configs = [_at(config, word_threshold) for config, word_threshold in runs]
+        fresh = {}
+        for config in configs:
+            # by repr: configs at 1 and 1.0 are equal, but echo differently
+            if repr(config) not in fresh:
+                pipeline._words.cache_clear()
+                fresh[repr(config)] = _report(config)
+        assert [_report(config) for config in configs] == [fresh[repr(c)] for c in configs]
 
 
 def test_public_api_is_explicit():

@@ -189,13 +189,14 @@ class TestBitSlicing:
             return expected.get(entry[k]) if k < len(entry) else None
 
         # one group per distinct Jaccard, highest first; in each, the entries
-        # holding a lemma of that Jaccard at position k, ascending k
-        assert groups == [
-            [(k, _mask(b for b, j in enumerate(index.order)
-                       if jaccard_at(entries[j], k) == jaccard))
-             for k in range(max(map(len, entries)))
-             if any(jaccard_at(entry, k) == jaccard for entry in entries)]
-            for jaccard in sorted(set(expected.values()), reverse=True)]
+        # holding a lemma of that Jaccard at position k, ascending k; tuples,
+        # since scorers may share them
+        assert groups == tuple(
+            tuple((k, _mask(b for b, j in enumerate(index.order)
+                            if jaccard_at(entries[j], k) == jaccard))
+                  for k in range(max(map(len, entries)))
+                  if any(jaccard_at(entry, k) == jaccard for entry in entries))
+            for jaccard in sorted(set(expected.values()), reverse=True))
         assert union == _mask(b for b, j in enumerate(index.order)
                               if not expected.keys().isdisjoint(entries[j]))
 
