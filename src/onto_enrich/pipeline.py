@@ -7,13 +7,16 @@ of each kind per source concept), aggregate question ids, and sort the
 records. Every stage runs once, in order, in the calling thread.
 
 Three memos of one entry each keep the parsed lexicon, the parsed stoplist,
-and the graph, label index and index warnings, each keyed by the bytes and
-settings it depends on, so repeated runs over unchanged inputs parse and
-build nothing again: see ``_load_ontology``. A fourth memo of one entry,
-``_words``, keeps the word-level scoring memos of the loaded label index at
-one word threshold, so repeated runs do not filter the same lemmas against
-the index again; each run's winners and score walks live in its own
-``Scorer``.
+and the graph, label index, index warnings and connection memo, each keyed
+by the bytes and settings it depends on, so repeated runs over unchanged
+inputs parse and build nothing again: see ``_load_ontology``. The connection
+memo keeps the two shortest paths of every concept pair compared with the
+loaded graph at each depth cap, so repeated runs search only the pairs they
+have not compared before; each run's question ids and optimal flags are its
+own. A fourth memo of one entry, ``_words``, keeps the word-level scoring
+memos of the loaded label index at one word threshold, so repeated runs do
+not filter the same lemmas against the index again; each run's winners and
+score walks live in its own ``Scorer``.
 """
 
 import functools
@@ -50,7 +53,7 @@ def run(config: RunConfig) -> Report:
     """Execute the whole pipeline and return the report."""
     with _file_context(config.corpus):
         questions = parse_corpus(Path(config.corpus).read_bytes())
-    lexicon, stoplist, graph, index, warnings = _load_ontology(config)
+    lexicon, stoplist, graph, index, warnings, connections = _load_ontology(config)
     # the kept word memos and the run's own winners; the kept index is never written
     pairable, overlaps = _words(index, config.match.word_threshold)
     scorer = Scorer(index, *config.match, pairable=pairable, overlaps=overlaps)
@@ -62,7 +65,7 @@ def run(config: RunConfig) -> Report:
         for a, b, qid in enumerate_pairs(per_question):
             by_source.setdefault(a, {}).setdefault(b, set()).add(qid)
 
-    records = _compare_all(graph, by_source, config.max_depth)
+    records = _compare_all(graph, by_source, config.max_depth, connections)
     records.sort(key=_record_sort_key)
     if config.optimal_only:
         records = [r for r in records if r.optimal]
@@ -99,7 +102,17 @@ def _stoplist(data):
 def _ontology(data, lexicon_data, stoplist_data, label_predicates, hierarchical_predicates,
               label_lang):
     """The graph, label index and index warnings built from ``data``, an
-    ontology file's bytes, and the other inputs they depend on."""
+    ontology file's bytes, and the other inputs they depend on, and an empty
+    connection memo for ``_compare_all`` that lives and dies with them.
+
+    The memo maps (max_depth, src, dst) to the pair's hierarchical and full
+    ``PathResult`` (None where out of reach). It holds one entry per distinct
+    depth cap and pair compared with this graph, and is freed with it. It
+    needs no lock, although concurrent runs read and fill it: each value is
+    a pure function of its key and the graph, a dict store is atomic under
+    the GIL, entries are never removed, and two runs racing on one key only
+    store an equal value twice.
+    """
     graph = build_graph(
         parse_triples(data),
         hierarchical_predicates=hierarchical_predicates,
@@ -109,7 +122,7 @@ def _ontology(data, lexicon_data, stoplist_data, label_predicates, hierarchical_
     warnings: list[str] = []
     index = build_label_index(
         graph, _lexicon(lexicon_data), _stoplist(stoplist_data), on_warning=warnings.append)
-    return graph, index, tuple(warnings)
+    return graph, index, tuple(warnings), {}
 
 
 @functools.lru_cache(maxsize=1)
@@ -127,8 +140,8 @@ def _words(index, word_threshold):
 
 
 def _load_ontology(config: RunConfig):
-    """The lexicon, stoplist, graph, label index and index warnings of this
-    run's inputs.
+    """The lexicon, stoplist, graph, label index, index warnings and
+    connection memo of this run's inputs.
 
     The lexicon, stoplist and ontology files are read in that order, each in
     full. Each value comes from a memo of one entry keyed by content, never
@@ -145,17 +158,34 @@ def _load_ontology(config: RunConfig):
         stoplist = _stoplist(stoplist_data)
     with _file_context(config.ontology):
         # tuples: the key must hash, and a list could change after it is kept
-        graph, index, warnings = _ontology(
+        graph, index, warnings, connections = _ontology(
             Path(config.ontology).read_bytes(), lexicon_data, stoplist_data,
             tuple(config.label_predicates), tuple(config.hierarchical_predicates),
             config.label_lang)
-    return lexicon, stoplist, graph, index, warnings
+    return lexicon, stoplist, graph, index, warnings, connections
 
 
-def _compare_all(graph, by_source, max_depth):
-    # one search per source, over its dsts in order, each pair's ids sorted
+def _compare_all(graph, by_source, max_depth, kept):
+    """One record per pair of ``by_source`` ({src: {dst: question ids}}), by
+    src then dst, each carrying its pair's question ids sorted.
+
+    Paths come from ``kept``, the connection memo of ``graph``: one search of
+    each kind per source serves the dsts it lacks, and stores their paths.
+    """
     records = []
     for src in sorted(by_source):
-        ids = {dst: tuple(sorted(qids)) for dst, qids in sorted(by_source[src].items())}
-        records.extend(compare_from(graph, src, ids, max_depth))
+        dsts = by_source[src]
+        missing = {dst: () for dst in dsts if (max_depth, src, dst) not in kept}
+        if missing:
+            for record in compare_from(graph, src, missing, max_depth):
+                kept[max_depth, src, record.concept_b] = record.hierarchical, record.full
+        for dst in sorted(dsts):
+            hierarchical, full = kept[max_depth, src, dst]
+            optimal = (
+                hierarchical is not None
+                and full is not None
+                and full.length < hierarchical.length
+            )
+            records.append(ConnectionRecord(
+                src, dst, hierarchical, full, optimal, tuple(sorted(dsts[dst]))))
     return records

@@ -93,10 +93,14 @@ class Report(NamedTuple):
     warnings: tuple[str, ...]
 
 
-def _check_path(record, path, edges):
+def _check_path(record, path, edges, max_depth):
     length, nodes, predicates = path
     if len(nodes) != length + 1 or len(predicates) != length:
         raise InternalInvariantError(f"inconsistent path arity in {record}")
+    if nodes[0] != record.concept_a or nodes[-1] != record.concept_b:
+        raise InternalInvariantError(f"path does not join the record's pair in {record}")
+    if length > max_depth:
+        raise InternalInvariantError(f"path longer than max_depth {max_depth} in {record}")
     for a, predicate, b in zip(nodes, predicates, nodes[1:]):
         if (a, predicate, b) not in edges and (b, predicate, a) not in edges:
             raise InternalInvariantError(f"path step {a}-{b} not in graph for {record}")
@@ -105,8 +109,9 @@ def _check_path(record, path, edges):
 def _check_report(report: Report, graph: OntologyGraph) -> None:
     """Cross-check every record against its invariants before emitting.
 
-    Path steps are checked against the graph's edges, not against the
-    tables the paths were searched over.
+    Each path must run from the record's concept_a to its concept_b within
+    the config's max_depth. Path steps are checked against the graph's
+    edges, not against the tables the paths were searched over.
     """
     edges = graph.edge_set  # a RelationEdge hashes and compares as its (s, p, o)
     seen = set()
@@ -126,7 +131,7 @@ def _check_report(report: Report, graph: OntologyGraph) -> None:
             raise InternalInvariantError(f"optimal flag inconsistent in {record}")
         for path in (hierarchical, full):
             if path is not None:
-                _check_path(record, path, edges)
+                _check_path(record, path, edges, report.config.max_depth)
 
 
 def _json_scalar(value) -> str:

@@ -1,11 +1,17 @@
-"""A corpus writer that only the tests need.
+"""Helpers that only the tests need.
 
 ``serialize_corpus`` writes the canonical XML that ``parse_corpus`` reads
 back to equal questions, so round-trip tests can start from values.
+``counting_searches`` records the path searches made while it is open.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
+import pytest
+
+from onto_enrich import pathfinder
 from onto_enrich.corpus import PhraseKind, Question, TextSpan
 
 
@@ -40,3 +46,19 @@ def serialize_corpus(questions: tuple[Question, ...]) -> bytes:
         lines.append("  </question>")
     lines.append("</corpus>")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@contextmanager
+def counting_searches():
+    """A list that gets (src, hierarchical, max_depth) for each search that
+    ``compare_from`` makes while the context is open, in any thread."""
+    searches = []
+    search = pathfinder.paths_from
+
+    def counted(graph, src, targets, hierarchical, max_depth=pathfinder.DEFAULT_MAX_DEPTH):
+        searches.append((src, hierarchical, max_depth))
+        return search(graph, src, targets, hierarchical, max_depth)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pathfinder, "paths_from", counted)
+        yield searches

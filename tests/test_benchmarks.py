@@ -43,6 +43,8 @@ def test_bench_paths_checksum(repo_root):
     stdout = _run_benchmark(repo_root, "bench_paths.py", "--repeat", "1")
     assert "(484 searches, 1050 paths, sha256 a6d9c546702048be)" in stdout
     assert "946 pairs from 242 sources" in stdout
+    # the second pass answers every pair from the connection memo
+    assert "(946 pairs kept)" in stdout
 
 
 def test_bench_io_checksums(repo_root):

@@ -24,6 +24,7 @@ from oracles import (
     lexmin_shortest_path,
     random_typed_graph,
 )
+from support import counting_searches
 
 
 def _chain_graph():
@@ -403,11 +404,27 @@ class TestCompareFrom:
     @PROPERTY_SETTINGS
     @given(pair_banks())
     def test_compare_all_orders_pairs_and_question_ids(self, bank):
+        # records come by src then dst, each with its pair's ids sorted and
+        # compare_from's paths; the memo then answers the same pairs, under
+        # the same or other ids, without a search
         graph, max_depth, inserted = bank
         by_source = {}
         for (a, b), ids in inserted:
             by_source.setdefault(a, {})[b] = ids
         expected = sorted(inserted, key=lambda item: item[0])
-        records = _compare_all(graph, by_source, max_depth)
+        kept = {}
+        records = _compare_all(graph, by_source, max_depth, kept)
         assert [(r.concept_a, r.concept_b) for r in records] == [pair for pair, _ in expected]
         assert [r.question_ids for r in records] == [tuple(sorted(ids)) for _, ids in expected]
+        searched = []
+        for src in sorted(by_source):
+            ids = {dst: tuple(sorted(qids)) for dst, qids in sorted(by_source[src].items())}
+            searched.extend(compare_from(graph, src, ids, max_depth))
+        assert records == searched
+        assert len(kept) == len(records)
+        relabelled = {src: dict.fromkeys(dsts, ["q9"]) for src, dsts in by_source.items()}
+        with counting_searches() as searches:
+            assert _compare_all(graph, by_source, max_depth, kept) == records
+            assert _compare_all(graph, relabelled, max_depth, kept) == [
+                record._replace(question_ids=("q9",)) for record in records]
+        assert searches == []

@@ -22,6 +22,7 @@ from onto_enrich.errors import (
 )
 from onto_enrich.pipeline import run
 from onto_enrich.report import RunConfig, serialize_report
+from support import counting_searches
 
 FIXTURE_CONFIG = RunConfig(
     ontology="fixtures/ontology.nt",
@@ -228,6 +229,23 @@ def _write_other():
         Path(FIXTURE_CONFIG.ontology).read_bytes() + _RULER_LABEL.encode())
 
 
+# the fixture's ontology with a cross link that shortens the full path of
+# one compared pair, and the fixture's corpus under other question ids with
+# one more question, whose source c:Rhombus has one pair compared before
+_LINKED = "fixtures/linked.nt"
+_RENUMBERED = "fixtures/renumbered.xml"
+_EXTRA_QUESTION = (b'<question id="r99"><text>Is a <TERM1>square</TERM1> with a '
+                   b'<TERM1>right angle</TERM1> a <TERM1>rhombus</TERM1>?</text></question>')
+
+
+def _write_linked_and_renumbered():
+    Path(_LINKED).write_bytes(Path(FIXTURE_CONFIG.ontology).read_bytes()
+                              + b"<c:Rhombus> <ome:relatedTo> <c:Square> .\n")
+    corpus = Path(FIXTURE_CONFIG.corpus).read_bytes().replace(b'id="q', b'id="r')
+    Path(_RENUMBERED).write_bytes(
+        corpus.replace(b"</corpus>", _EXTRA_QUESTION + b"\n</corpus>"))
+
+
 @st.composite
 def _variants(draw):
     """(field, value): one input of the ontology memo's key changed from the fixture
@@ -409,15 +427,17 @@ class TestOntologyReuse:
 
     def test_concurrent_runs_each_score_afresh(self, fixture_copy, golden):
         # four threads on two cores, two on the fixture and two on another
-        # ontology, each alternating two word thresholds from its own start,
-        # so the load and word memos are hit, filled and replaced while runs
-        # are going: every run gives its fresh report and scores every
-        # sequence itself
+        # ontology, each cycling through two word thresholds and two depth
+        # caps from its own start, so the load, word and connection memos
+        # are hit, filled and replaced while runs are going: every run gives
+        # its fresh report and scores every sequence itself
         _write_other()
-        pairs = [(FIXTURE_CONFIG, _at(FIXTURE_CONFIG, 0.5)), (_OTHER, _at(_OTHER, 0.5))]
+        cycles = [[_at(config, word_threshold)._replace(max_depth=depth)
+                   for depth in (6, 3) for word_threshold in (0.75, 0.5)]
+                  for config in (FIXTURE_CONFIG, _OTHER)]
         fresh = {}
-        for config in (c for pair in pairs for c in pair):
-            pipeline._words.cache_clear()
+        for config in (c for cycle in cycles for c in cycle):
+            _clear_memos()
             fresh[config] = _report(config)
         assert fresh[FIXTURE_CONFIG][0] == golden
         index = pipeline._load_ontology(FIXTURE_CONFIG)[3]
@@ -437,8 +457,8 @@ class TestOntologyReuse:
         sys.setswitchinterval(1e-5)
         try:
             with _counting_scores() as counts, ThreadPoolExecutor(4) as pool:
-                plans = [[pair[(i + start) % 2] for i in range(6)]
-                         for start in (0, 1) for pair in pairs]
+                plans = [[cycle[(i + start) % 4] for i in range(8)]
+                         for start in (0, 1) for cycle in cycles]
                 futures = [pool.submit(work, plan, counts) for plan in plans]
                 results = [future.result(timeout=120) for future in futures]
         finally:
@@ -512,6 +532,70 @@ class TestWordMemos:
                 pipeline._words.cache_clear()
                 fresh[repr(config)] = _report(config)
         assert [_report(config) for config in configs] == [fresh[repr(c)] for c in configs]
+
+
+class TestConnectionMemo:
+    """run() keeps the two paths of every pair it compares with the loaded
+    ontology at each depth cap, for the runs after it; its reports must not
+    tell a kept pair from a fresh search."""
+
+    def test_kept_per_ontology_and_depth(self, fixture_copy, golden):
+        with counting_searches() as searches:
+            assert _report(FIXTURE_CONFIG)[0] == golden
+            # one search of each kind per source, and one entry per pair
+            records = run(FIXTURE_CONFIG).records
+            sources = sorted({r.concept_a for r in records})
+            assert searches == [(src, hierarchical, 6)
+                                for src in sources for hierarchical in (True, False)]
+            connections = pipeline._load_ontology(FIXTURE_CONFIG)[5]
+            assert sorted(connections) == sorted((6, r.concept_a, r.concept_b) for r in records)
+            # the second run searches nothing
+            del searches[:]
+            assert _report(FIXTURE_CONFIG)[0] == golden
+            assert searches == []
+            # another depth cap searches again, and keeps its own entries
+            shallow = _report(FIXTURE_CONFIG._replace(max_depth=3))
+            assert [depth for _, _, depth in searches] == [3] * 2 * len(sources)
+            del searches[:]
+            assert _report(FIXTURE_CONFIG._replace(max_depth=3)) == shallow
+            assert _report(FIXTURE_CONFIG)[0] == golden
+            assert searches == []
+            assert len(connections) == 2 * len(records)
+        # a run on another ontology keeps its pairs in a new memo, and
+        # nothing holds the first one's label index
+        _write_other()
+        index = weakref.ref(pipeline._load_ontology(FIXTURE_CONFIG)[3])
+        gc.collect()
+        assert index() is not None
+        run(_OTHER)
+        gc.collect()
+        assert index() is None
+        assert pipeline._load_ontology(_OTHER)[5] is not connections
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.sampled_from((FIXTURE_CONFIG.ontology, _LINKED)),
+                              st.sampled_from((FIXTURE_CONFIG.corpus, _RENUMBERED)),
+                              st.sampled_from((1, 2, 3, 6)),
+                              st.booleans(),
+                              st.sampled_from(("json", "csv"))),
+                    min_size=2, max_size=8))
+    def test_interleaved_runs_report_as_fresh_runs(self, fixture_copy, runs):
+        # runs that switch ontology, corpus, depth cap, filter and format in
+        # any order: each report's bytes are those of the same config run
+        # with every memo emptied
+        _write_linked_and_renumbered()
+        configs = [FIXTURE_CONFIG._replace(ontology=ontology, corpus=corpus, max_depth=depth,
+                                           optimal_only=optimal_only, format=fmt)
+                   for ontology, corpus, depth, optimal_only, fmt in runs]
+        fresh = {}
+        for config in configs:
+            if config not in fresh:
+                _clear_memos()
+                fresh[config] = serialize_report(run(config), config.format)
+        _clear_memos()
+        assert [serialize_report(run(config), config.format) for config in configs] == [
+            fresh[config] for config in configs]
 
 
 def test_public_api_is_explicit():

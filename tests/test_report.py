@@ -205,3 +205,20 @@ class TestReportInvariants:
         report = fixture_report._replace(records=(record._replace(full=fake),))
         with pytest.raises(InternalInvariantError):
             _check_report(report, fixture_graph)
+
+    def test_swapped_paths_detected(self, fixture_report, fixture_graph):
+        # two optimal records trade their paths: every path is the graph's,
+        # each record's lengths and flag agree, but each path joins the other pair
+        first, second, *rest = fixture_report.records
+        swapped = (first._replace(hierarchical=second.hierarchical, full=second.full),
+                   second._replace(hierarchical=first.hierarchical, full=first.full))
+        report = fixture_report._replace(records=(*swapped, *rest))
+        with pytest.raises(InternalInvariantError, match="does not join"):
+            _check_report(report, fixture_graph)
+
+    def test_path_longer_than_max_depth_detected(self, fixture_report, fixture_graph):
+        # the fixture's records at the default cap, checked against a lower one
+        assert max(r.full.length for r in fixture_report.records) == 4
+        report = fixture_report._replace(config=fixture_report.config._replace(max_depth=3))
+        with pytest.raises(InternalInvariantError, match="longer than max_depth 3"):
+            _check_report(report, fixture_graph)
