@@ -16,12 +16,13 @@ real labels do, which flatters the packing here. It also makes nearly every
 label share a word with every phrase, so the overlap filter prunes little
 and the score time is mostly the greedy pairing of the labels that survive
 it; ``--word-threshold 0``, where every word pairs with every word, is the
-worst case. A second pass then scores the same phrases through a new
-``Scorer`` handed the first one's word memos, as ``pipeline.run`` hands them
-from run to run over one index and word threshold: it filters no word
-again, and must give the same checksum. With 20 words there are only 20
-filters to save, so here the two passes take about the same time; the
-saving grows with the distinct words per pass, as in a bank of real terms.
+worst case. A second pass then scores the same phrases through the same
+``Scorer``, as ``pipeline.run`` keeps it from run to run over one index at
+equal thresholds: it filters no word again, and must give the same
+checksum. With 20 words there are only 20 filters to save, so here the two
+passes take about the same time; the saving grows with the distinct words
+per pass, as in a bank of real terms. (``pipeline.run`` also reuses the
+scorer's winners, which ``pair_counts`` bypasses here.)
 
 Usage: PYTHONPATH=src python benchmarks/bench_matching.py [--entries N] [--phrases N]
        [--word-threshold T]
@@ -77,15 +78,13 @@ def main():
     scorer = Scorer(index, args.word_threshold, MatchConfig().seq_threshold)
     checksum = score_all(scorer, phrases)
     scored = time.perf_counter()
-    kept = Scorer(index, args.word_threshold, MatchConfig().seq_threshold,
-                  pairable=scorer.pairable, overlaps=scorer.overlaps)
-    again = score_all(kept, phrases)
+    again = score_all(scorer, phrases)
     rescored = time.perf_counter()
     if again != checksum:
         raise SystemExit(f"second pass checksum {again} != {checksum}")
     print(f"   pack: {packed - started:8.3f} s")
     print(f"  score: {scored - packed:8.3f} s   (checksum {checksum})")
-    print(f"  again: {rescored - scored:8.3f} s   (word memos kept)")
+    print(f"  again: {rescored - scored:8.3f} s   (scorer kept)")
 
 
 if __name__ == "__main__":

@@ -52,8 +52,8 @@ class LabelIndex:
     of every entry per position, the free positions before any pairing.
 
     The tables never change after construction, so ``pipeline.run`` keeps one
-    index for many runs; every memo over it lives outside it, in a ``Scorer``
-    or in ``pipeline``'s word memos.
+    index for many runs; every memo over it lives outside it, in a ``Scorer``,
+    which ``pipeline`` keeps beside the index for the runs after it.
     """
 
     def __init__(self, entries: Iterable[IndexEntry]):
@@ -94,13 +94,14 @@ class Scorer:
     written. ``pairable`` maps a lemma to its ``_pairable`` groups,
     ``overlaps`` a character count to its ``_overlaps`` table, ``walks`` a
     phrase length to its ``_walk`` and ``winners`` a lemma sequence to what
-    ``best`` gave. No key holds a threshold: a scorer's never change.
+    ``best`` gave. No key holds a threshold: a scorer's never change, so one
+    scorer serves every run at its thresholds, as ``pipeline.run`` keeps it.
 
     The word memos, ``pairable`` and ``overlaps``, depend only on the index
     and the word threshold, so scorers over one index at one word threshold
     may share them: pass the dicts of an earlier such scorer, as
-    ``pipeline.run`` does. Their values are tuples, which no scorer changes.
-    Without them a scorer starts with empty memos of its own.
+    ``pipeline.run`` does when only the sequence threshold changes. Their
+    values are tuples, which no scorer changes; without them it starts empty.
     """
 
     def __init__(self, index: LabelIndex, word_threshold: float, seq_threshold: float,

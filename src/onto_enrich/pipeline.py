@@ -6,17 +6,8 @@ hierarchical against full shortest paths for every unique pair (one search
 of each kind per source concept), aggregate question ids, and sort the
 records. Every stage runs once, in order, in the calling thread.
 
-Three memos of one entry each keep the parsed lexicon, the parsed stoplist,
-and the graph, label index, index warnings and connection memo, each keyed
-by the bytes and settings it depends on, so repeated runs over unchanged
-inputs parse and build nothing again: see ``_load_ontology``. The connection
-memo keeps the two shortest paths of every concept pair compared with the
-loaded graph at each depth cap, so repeated runs search only the pairs they
-have not compared before; each run's question ids and optimal flags are its
-own. A fourth memo of one entry, ``_words``, keeps the word-level scoring
-memos of the loaded label index at one word threshold, so repeated runs do
-not filter the same lemmas against the index again; each run's winners and
-score walks live in its own ``Scorer``.
+Memos of one entry keep the lexicon, stoplist and ontology loaded for later
+runs; everything derived from the ontology lives and dies with it (``_Loaded``).
 """
 
 import functools
@@ -53,10 +44,8 @@ def run(config: RunConfig) -> Report:
     """Execute the whole pipeline and return the report."""
     with _file_context(config.corpus):
         questions = parse_corpus(Path(config.corpus).read_bytes())
-    lexicon, stoplist, graph, index, warnings, connections = _load_ontology(config)
-    # the kept word memos and the run's own winners; the kept index is never written
-    pairable, overlaps = _words(index, config.match.word_threshold)
-    scorer = Scorer(index, *config.match, pairable=pairable, overlaps=overlaps)
+    lexicon, stoplist, loaded = _load_ontology(config)
+    scorer = loaded.scorer_at(*config.match)
 
     matches = [match_question(extract_phrases(q), scorer, lexicon, stoplist) for q in questions]
 
@@ -65,7 +54,7 @@ def run(config: RunConfig) -> Report:
         for a, b, qid in enumerate_pairs(per_question):
             by_source.setdefault(a, {}).setdefault(b, set()).add(qid)
 
-    records = _compare_all(graph, by_source, config.max_depth, connections)
+    records = _compare_all(loaded.graph, by_source, config.max_depth, loaded.connections)
     records.sort(key=_record_sort_key)
     if config.optimal_only:
         records = [r for r in records if r.optimal]
@@ -79,9 +68,9 @@ def run(config: RunConfig) -> Report:
         config=config,
         records=tuple(records),
         matches=tuple(match_log),
-        warnings=warnings,
+        warnings=loaded.warnings,
     )
-    _check_report(report, graph)
+    _check_report(report, loaded.graph)
     return report
 
 
@@ -98,21 +87,42 @@ def _stoplist(data):
     return DEFAULT_STOPLIST if data is None else load_stoplist(data)
 
 
+class _Loaded:
+    """One ontology's graph, label index and index warnings, with the memos
+    that runs over them share: ``connections`` for ``_compare_all``, mapping
+    (max_depth, src, dst) to the pair's two ``PathResult``s (None where out
+    of reach) and optimal flag, and ``scorer``, the last run's ``Scorer``.
+
+    Neither needs a lock, although concurrent runs read and fill them: each
+    value is a pure function of its key and the ontology, a dict or slot
+    store is atomic under the GIL, a scorer's thresholds never change, and
+    two runs racing on one key only store an equal value twice.
+    """
+
+    __slots__ = ("graph", "index", "warnings", "connections", "scorer", "__weakref__")
+
+    def __init__(self, graph, index, warnings):
+        self.graph, self.index, self.warnings = graph, index, warnings
+        self.connections, self.scorer = {}, None
+
+    def scorer_at(self, word_threshold, seq_threshold) -> Scorer:
+        """The kept scorer if both thresholds equal its own; else a new one,
+        kept in its place, that shares its word memos if only the sequence
+        threshold differs, since they depend on the word threshold alone."""
+        scorer = self.scorer
+        if scorer is None or scorer.word_threshold != word_threshold:
+            scorer = self.scorer = Scorer(self.index, word_threshold, seq_threshold)
+        elif scorer.seq_threshold != seq_threshold:
+            scorer = self.scorer = Scorer(self.index, word_threshold, seq_threshold,
+                                          pairable=scorer.pairable, overlaps=scorer.overlaps)
+        return scorer
+
+
 @functools.lru_cache(maxsize=1)
 def _ontology(data, lexicon_data, stoplist_data, label_predicates, hierarchical_predicates,
               label_lang):
-    """The graph, label index and index warnings built from ``data``, an
-    ontology file's bytes, and the other inputs they depend on, and an empty
-    connection memo for ``_compare_all`` that lives and dies with them.
-
-    The memo maps (max_depth, src, dst) to the pair's hierarchical and full
-    ``PathResult`` (None where out of reach). It holds one entry per distinct
-    depth cap and pair compared with this graph, and is freed with it. It
-    needs no lock, although concurrent runs read and fill it: each value is
-    a pure function of its key and the graph, a dict store is atomic under
-    the GIL, entries are never removed, and two runs racing on one key only
-    store an equal value twice.
-    """
+    """The ``_Loaded`` ontology of ``data``, an ontology file's bytes, and
+    the other inputs its graph and index depend on."""
     graph = build_graph(
         parse_triples(data),
         hierarchical_predicates=hierarchical_predicates,
@@ -122,31 +132,16 @@ def _ontology(data, lexicon_data, stoplist_data, label_predicates, hierarchical_
     warnings: list[str] = []
     index = build_label_index(
         graph, _lexicon(lexicon_data), _stoplist(stoplist_data), on_warning=warnings.append)
-    return graph, index, tuple(warnings), {}
-
-
-@functools.lru_cache(maxsize=1)
-def _words(index, word_threshold):
-    """The word memos, ``Scorer.pairable`` and ``Scorer.overlaps``, that every
-    run over ``index`` at ``word_threshold`` shares.
-
-    They hold one entry per distinct lemma and per character count scored
-    with this index and threshold, and are freed when either changes. They
-    need no lock, although concurrent runs read and fill them: each value is
-    a tuple computed from its key alone, a dict store is atomic under the
-    GIL, and two runs racing on one key only compute an equal value twice.
-    """
-    return {}, {}
+    return _Loaded(graph, index, tuple(warnings))
 
 
 def _load_ontology(config: RunConfig):
-    """The lexicon, stoplist, graph, label index, index warnings and
-    connection memo of this run's inputs.
+    """The lexicon, stoplist and ``_Loaded`` ontology of this run's inputs.
 
     The lexicon, stoplist and ontology files are read in that order, each in
     full. Each value comes from a memo of one entry keyed by content, never
-    by path or mtime: the lexicon and the stoplist by their bytes, the graph
-    and index by the three files' bytes, both predicate collections and
+    by path or mtime: the lexicon and the stoplist by their bytes, the
+    ontology by the three files' bytes, both predicate collections and
     label_lang. A memo parses or builds only when its key changes; a load
     that raises keeps nothing and leaves the previous entry.
     """
@@ -158,34 +153,37 @@ def _load_ontology(config: RunConfig):
         stoplist = _stoplist(stoplist_data)
     with _file_context(config.ontology):
         # tuples: the key must hash, and a list could change after it is kept
-        graph, index, warnings, connections = _ontology(
+        loaded = _ontology(
             Path(config.ontology).read_bytes(), lexicon_data, stoplist_data,
             tuple(config.label_predicates), tuple(config.hierarchical_predicates),
             config.label_lang)
-    return lexicon, stoplist, graph, index, warnings, connections
+    return lexicon, stoplist, loaded
 
 
 def _compare_all(graph, by_source, max_depth, kept):
     """One record per pair of ``by_source`` ({src: {dst: question ids}}), by
     src then dst, each carrying its pair's question ids sorted.
 
-    Paths come from ``kept``, the connection memo of ``graph``: one search of
-    each kind per source serves the dsts it lacks, and stores their paths.
+    Paths and optimal flags come from ``kept``, the connection memo of
+    ``graph``: one search of each kind per source serves the dsts it lacks,
+    and stores their paths and flags.
     """
     records = []
     for src in sorted(by_source):
         dsts = by_source[src]
-        missing = {dst: () for dst in dsts if (max_depth, src, dst) not in kept}
-        if missing:
-            for record in compare_from(graph, src, missing, max_depth):
-                kept[max_depth, src, record.concept_b] = record.hierarchical, record.full
+        missing, slots = {}, []
         for dst in sorted(dsts):
-            hierarchical, full = kept[max_depth, src, dst]
-            optimal = (
-                hierarchical is not None
-                and full is not None
-                and full.length < hierarchical.length
-            )
-            records.append(ConnectionRecord(
-                src, dst, hierarchical, full, optimal, tuple(sorted(dsts[dst]))))
+            key = max_depth, src, dst
+            ids = tuple(sorted(dsts[dst]))
+            value = kept.get(key)
+            if value is None:
+                missing[dst] = ids
+                slots.append((len(records), key))
+                records.append(None)
+            else:
+                records.append(ConnectionRecord(src, dst, *value, ids))
+        if missing:
+            for (i, key), record in zip(slots, compare_from(graph, src, missing, max_depth)):
+                records[i] = record
+                kept[key] = record[2:5]
     return records

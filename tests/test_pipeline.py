@@ -161,7 +161,7 @@ def golden(repo_root):
     return (repo_root / "tests/golden/fixture_report.json").read_bytes()
 
 
-_MEMOS = (pipeline._lexicon, pipeline._stoplist, pipeline._ontology, pipeline._words)
+_MEMOS = (pipeline._lexicon, pipeline._stoplist, pipeline._ontology)
 
 
 def _clear_memos():
@@ -172,7 +172,8 @@ def _clear_memos():
 @pytest.fixture()
 def fixture_copy(repo_root, tmp_path, monkeypatch):
     """A copy of fixtures/ under a new working directory, free to rewrite;
-    FIXTURE_CONFIG names its files. The load and word memos start empty."""
+    FIXTURE_CONFIG names its files. The load memos, and with them the kept
+    scorer and connection memo, start empty."""
     shutil.copytree(repo_root / "fixtures", tmp_path / "fixtures")
     monkeypatch.chdir(tmp_path)
     _clear_memos()
@@ -215,9 +216,17 @@ _WORDS = ("ruler", "compass", "dodecahedron", "five", "middle", "lines", "angles
 _PREDICATES = ("rdfs:label", "rdfs:subClassOf", "ome:hasChild", "ome:relatedTo", "ome:partOf")
 
 
-def _at(config, word_threshold):
-    """``config`` at another word threshold."""
-    return config._replace(match=config.match._replace(word_threshold=word_threshold))
+def _at(config, word_threshold, seq_threshold=None):
+    """``config`` at another word threshold, and sequence threshold if given."""
+    match = config.match._replace(word_threshold=word_threshold)
+    if seq_threshold is not None:
+        match = match._replace(seq_threshold=seq_threshold)
+    return config._replace(match=match)
+
+
+def _loaded(config=FIXTURE_CONFIG):
+    """The kept ``_Loaded`` ontology of ``config``, loading it if it is not kept."""
+    return pipeline._load_ontology(config)[2]
 
 
 _OTHER = FIXTURE_CONFIG._replace(ontology="fixtures/other.nt")
@@ -304,10 +313,10 @@ class TestOntologyReuse:
     @example(("lexicon", "ruler\tsquare\n"))
     @example(("stoplist", "ruler\n"))
     def test_alternating_inputs_report_as_fresh_runs(self, repo_root, fixture_copy, variant):
-        # A, then B, then A, at the same paths, each run twice: every report,
-        # and the number of sequences each run scores, is that of a run made
-        # with the memos emptied; the first run of each builds, the second
-        # reuses, and each memo holds one entry
+        # A, then B, then A, at the same paths, each run twice: every report
+        # is that of a run made with the memos emptied; the first run of each
+        # builds and scores as many sequences as that run, the second reuses
+        # the kept scorer and scores none, and each memo holds one entry
         states = [_inputs(repo_root, None), _inputs(repo_root, variant)]
         fresh = []
         for files, config in states:
@@ -320,9 +329,11 @@ class TestOntologyReuse:
             _write(files)
             misses, hits = _builds()
             assert _report(config) == fresh[which]
-            assert _report(config) == fresh[which]
+            assert _report(config) == (fresh[which][0], 0)
             assert _builds() == (misses + 1, hits + 1)
-            assert [memo.cache_info().currsize for memo in _MEMOS] == [1, 1, 1, 1]
+            assert [memo.cache_info().currsize for memo in _MEMOS] == [1, 1, 1]
+            scorer = _loaded(config).scorer
+            assert (scorer.word_threshold, scorer.seq_threshold) == config.match
 
     def test_ontology_rewritten_in_place_is_read_again(self, fixture_copy, golden):
         ontology = Path("fixtures/ontology.nt")
@@ -330,7 +341,7 @@ class TestOntologyReuse:
         assert _report(FIXTURE_CONFIG)[0] == golden
         ontology.write_bytes(original + _RULER_LABEL.encode())
         changed = _report(FIXTURE_CONFIG)
-        assert _report(FIXTURE_CONFIG) == changed
+        assert _report(FIXTURE_CONFIG) == (changed[0], 0)
         _clear_memos()
         assert _report(FIXTURE_CONFIG) == changed
         assert changed[0] != golden
@@ -365,7 +376,7 @@ class TestOntologyReuse:
         fail()
         ontology.write_bytes(original)
         misses, hits = _builds()
-        assert _report(FIXTURE_CONFIG) == first
+        assert _report(FIXTURE_CONFIG) == (first[0], 0)
         assert _builds() == (misses, hits + 1)
         assert all(a is b for a, b in zip(pipeline._load_ontology(FIXTURE_CONFIG), kept))
         # with the memos empty: the same error, naming the file
@@ -389,7 +400,7 @@ class TestOntologyReuse:
         for name in ("load_lexicon", "load_stoplist"):
             monkeypatch.setattr(pipeline, name, counted(name))
         lexicon, stoplist = Path("fixtures/lexicon.tsv"), Path("fixtures/stoplist.txt")
-        assert _report(_REUSE_CONFIG) == _report(_REUSE_CONFIG)
+        assert _report(_REUSE_CONFIG)[0] == _report(_REUSE_CONFIG)[0]
         assert parsed == {"load_lexicon": 1, "load_stoplist": 1}
         # a changed ontology alone rebuilds the graph, not the two parses
         ontology = Path("fixtures/ontology.nt")
@@ -406,48 +417,59 @@ class TestOntologyReuse:
             run(_REUSE_CONFIG)
 
     def test_kept_index_is_never_written(self, fixture_copy, golden):
-        index = pipeline._load_ontology(FIXTURE_CONFIG)[3]
+        index = _loaded().index
         before = _snapshot(index)
         assert _report(FIXTURE_CONFIG)[0] == _report(FIXTURE_CONFIG)[0] == golden
-        assert pipeline._load_ontology(FIXTURE_CONFIG)[3] is index
+        assert _loaded().index is index
         assert _snapshot(index) == before
 
     def test_another_ontology_frees_the_last(self, fixture_copy):
         # one entry per memo, so memory does not grow: once a run has loaded
-        # another ontology, nothing holds the first one's label index
+        # another ontology, nothing holds the first one's kept object, label
+        # index or scorer
         other = FIXTURE_CONFIG._replace(ontology="fixtures/other.nt")
         Path(other.ontology).write_bytes(
             Path(FIXTURE_CONFIG.ontology).read_bytes() + _RULER_LABEL.encode())
-        index = weakref.ref(pipeline._load_ontology(FIXTURE_CONFIG)[3])
+        run(FIXTURE_CONFIG)
+        loaded = _loaded()
+        kept = [weakref.ref(value) for value in (loaded, loaded.index, loaded.scorer)]
+        del loaded
         gc.collect()
-        assert index() is not None
+        assert all(ref() is not None for ref in kept)
         run(other)
         gc.collect()
-        assert index() is None
+        assert [ref() for ref in kept] == [None, None, None]
 
     def test_concurrent_runs_each_score_afresh(self, fixture_copy, golden):
         # four threads on two cores, two on the fixture and two on another
-        # ontology, each cycling through two word thresholds and two depth
-        # caps from its own start, so the load, word and connection memos
-        # are hit, filled and replaced while runs are going: every run gives
-        # its fresh report and scores every sequence itself
+        # ontology, each cycling twice through two word thresholds, two
+        # sequence thresholds and two depth caps from its own start, so the
+        # load memo, kept scorer and connection memo are hit, filled and
+        # replaced while runs are going: every run gives its fresh report,
+        # scores each sequence with a scorer at its own thresholds, and
+        # scores at most the sequences a fresh run scores. Which thread
+        # scores a sequence that runs share is a race, so counts are bounds.
         _write_other()
-        cycles = [[_at(config, word_threshold)._replace(max_depth=depth)
-                   for depth in (6, 3) for word_threshold in (0.75, 0.5)]
+        cycles = [[_at(config, word_threshold, seq_threshold)._replace(max_depth=depth)
+                   for depth in (6, 3) for word_threshold in (0.75, 0.5)
+                   for seq_threshold in (0.5, 0.3)]
                   for config in (FIXTURE_CONFIG, _OTHER)]
         fresh = {}
         for config in (c for cycle in cycles for c in cycle):
             _clear_memos()
             fresh[config] = _report(config)
         assert fresh[FIXTURE_CONFIG][0] == golden
-        index = pipeline._load_ontology(FIXTURE_CONFIG)[3]
+        index = _loaded().index
         before = _snapshot(index)
         barrier = threading.Barrier(4)
+        running = threading.local()
+        wrong = []
 
         def work(configs, counts):
             barrier.wait(timeout=60)
             results = []
             for config in configs:
+                running.match = config.match
                 before = counts[threading.get_ident()]
                 payload = serialize_report(run(config), "json")
                 results.append((payload, counts[threading.get_ident()] - before))
@@ -456,21 +478,35 @@ class TestOntologyReuse:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with _counting_scores() as counts, ThreadPoolExecutor(4) as pool:
-                plans = [[cycle[(i + start) % 4] for i in range(8)]
+            with _counting_scores() as counts, pytest.MonkeyPatch.context() as mp, \
+                    ThreadPoolExecutor(4) as pool:
+                counted = _scoring._best_entry
+
+                def checked(scorer, seq):
+                    if (scorer.word_threshold, scorer.seq_threshold) != running.match:
+                        wrong.append((running.match, scorer.word_threshold, scorer.seq_threshold))
+                    return counted(scorer, seq)
+
+                mp.setattr(_scoring, "_best_entry", checked)
+                plans = [[cycle[(i + start) % 8] for i in range(16)]
                          for start in (0, 1) for cycle in cycles]
                 futures = [pool.submit(work, plan, counts) for plan in plans]
                 results = [future.result(timeout=120) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert results == [[fresh[config] for config in plan] for plan in plans]
+        assert [[payload for payload, _ in runs] for runs in results] == [
+            [fresh[config][0] for config in plan] for plan in plans]
+        assert all(scored <= fresh[config][1]
+                   for runs, plan in zip(results, plans)
+                   for (_, scored), config in zip(runs, plan))
+        assert wrong == []
         # the fixture's kept index, which the threads' first runs share, is as it was
         assert _snapshot(index) == before
 
 
 class TestWordMemos:
     """run() keeps the word memos of the loaded index at one word threshold,
-    pipeline._words, for the runs after it; its reports must not tell a
+    in the kept scorer, for the runs after it; its reports must not tell a
     kept memo from a fresh one."""
 
     def test_kept_per_index_and_threshold(self, fixture_copy, golden, monkeypatch):
@@ -488,8 +524,9 @@ class TestWordMemos:
         # the second run computes no group; the memo holds tuples only
         assert _report(FIXTURE_CONFIG)[0] == golden
         assert computed == {0.75: first}
-        index = pipeline._load_ontology(FIXTURE_CONFIG)[3]
-        kept_pairable, kept_overlaps = pipeline._words(index, 0.75)
+        loaded = _loaded()
+        index = loaded.index
+        kept_pairable, kept_overlaps = loaded.scorer.pairable, loaded.scorer.overlaps
         assert len(kept_pairable) == first
         for union, groups in kept_pairable.values():
             assert type(union) is int and type(groups) is tuple
@@ -499,15 +536,16 @@ class TestWordMemos:
         # only them: the first threshold's are computed again
         lower = _report(_at(FIXTURE_CONFIG, 0.5))
         assert computed[0.5] > 0 and computed[0.75] == first
-        assert _report(_at(FIXTURE_CONFIG, 0.5)) == lower
+        assert _report(_at(FIXTURE_CONFIG, 0.5)) == (lower[0], 0)
         assert _report(FIXTURE_CONFIG)[0] == golden
         assert computed[0.75] == 2 * first
-        assert pipeline._words.cache_info().currsize == 1
+        assert loaded.scorer.pairable is not kept_pairable
+        assert len(loaded.scorer.pairable) == first
         # a run on another ontology frees the first one's index, which
-        # every word memo entry holds in its key
+        # every kept scorer holds
         _write_other()
         kept = weakref.ref(index)
-        del index
+        del index, loaded
         gc.collect()
         assert kept() is not None
         run(_OTHER)
@@ -517,21 +555,63 @@ class TestWordMemos:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.tuples(st.sampled_from((FIXTURE_CONFIG, _OTHER)),
-                              st.sampled_from((0, 0.0, 0.5, 0.75, 1, 1.0))),
+                              st.sampled_from((0, 0.0, 0.5, 0.75, 1, 1.0)),
+                              st.sampled_from((0, 0.3, 0.5, 1, 1.0))),
                     min_size=2, max_size=8))
     def test_interleaved_runs_report_as_fresh_runs(self, fixture_copy, runs):
-        # runs that switch ontology and word threshold in any order: each
-        # report, and the number of sequences its run scores, is that of the
-        # same config run with the word memos emptied
+        # runs that switch ontology, word threshold and sequence threshold in
+        # any order: each report is that of the same config run with the
+        # memos emptied, and its run scores as many sequences as that run,
+        # or none where the run before it had the same ontology and equal
+        # thresholds, whose kept scorer it reuses
         _write_other()
-        configs = [_at(config, word_threshold) for config, word_threshold in runs]
+        configs = [_at(config, word, seq) for config, word, seq in runs]
         fresh = {}
         for config in configs:
             # by repr: configs at 1 and 1.0 are equal, but echo differently
             if repr(config) not in fresh:
-                pipeline._words.cache_clear()
+                _clear_memos()
                 fresh[repr(config)] = _report(config)
-        assert [_report(config) for config in configs] == [fresh[repr(c)] for c in configs]
+        _clear_memos()
+        reuses = [False] + [(a.ontology, a.match) == (b.ontology, b.match)
+                            for a, b in zip(configs, configs[1:])]
+        assert [_report(config) for config in configs] == [
+            (fresh[repr(c)][0], 0 if reuse else fresh[repr(c)][1])
+            for c, reuse in zip(configs, reuses)]
+
+
+class TestKeptScorer:
+    """run() keeps the last run's scorer with the loaded ontology, winners
+    included, and the runs after it reuse it while both thresholds are equal."""
+
+    def test_kept_per_ontology_and_thresholds(self, fixture_copy, golden):
+        lower = _at(FIXTURE_CONFIG, 0.75, 0.3)
+        assert _report(FIXTURE_CONFIG)[0] == golden
+        scored = _report(lower)[1]
+        _clear_memos()
+        first = _report(FIXTURE_CONFIG)
+        assert first[0] == golden and first[1] > 0
+        # the second run scores no sequence, from the same scorer
+        scorer = _loaded().scorer
+        assert _report(FIXTURE_CONFIG) == (golden, 0)
+        assert _loaded().scorer is scorer and len(scorer.winners) == first[1]
+        # another sequence threshold scores its own sequences with a new
+        # scorer that shares the word memos, and is then kept in its place
+        other = _report(lower)
+        assert other[0] != golden and other[1] == scored
+        assert _loaded().scorer.pairable is scorer.pairable
+        assert _report(lower) == (other[0], 0)
+        # switching back scores again
+        assert _report(FIXTURE_CONFIG) == first
+        # a run on another ontology frees the first one's kept object
+        _write_other()
+        kept = weakref.ref(_loaded())
+        del scorer
+        gc.collect()
+        assert kept() is not None
+        run(_OTHER)
+        gc.collect()
+        assert kept() is None
 
 
 class TestConnectionMemo:
@@ -547,7 +627,7 @@ class TestConnectionMemo:
             sources = sorted({r.concept_a for r in records})
             assert searches == [(src, hierarchical, 6)
                                 for src in sources for hierarchical in (True, False)]
-            connections = pipeline._load_ontology(FIXTURE_CONFIG)[5]
+            connections = _loaded().connections
             assert sorted(connections) == sorted((6, r.concept_a, r.concept_b) for r in records)
             # the second run searches nothing
             del searches[:]
@@ -564,13 +644,13 @@ class TestConnectionMemo:
         # a run on another ontology keeps its pairs in a new memo, and
         # nothing holds the first one's label index
         _write_other()
-        index = weakref.ref(pipeline._load_ontology(FIXTURE_CONFIG)[3])
+        index = weakref.ref(_loaded().index)
         gc.collect()
         assert index() is not None
         run(_OTHER)
         gc.collect()
         assert index() is None
-        assert pipeline._load_ontology(_OTHER)[5] is not connections
+        assert _loaded(_OTHER).connections is not connections
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
