@@ -33,7 +33,7 @@ import random
 import time
 
 from onto_enrich._scoring import IndexEntry, LabelIndex, Scorer, pair_counts
-from onto_enrich.matcher import MatchConfig
+from onto_enrich.report import RunConfig
 
 VOCABULARY = [
     "triangle", "quadrilateral", "perpendicular", "segment", "middle", "line",
@@ -75,7 +75,7 @@ def main():
     packed = time.perf_counter()
     print(f"{args.entries} index entries ({len(index.rows)} distinct lemma rows) "
           f"x {args.phrases} phrases, word threshold {args.word_threshold}")
-    scorer = Scorer(index, args.word_threshold, MatchConfig().seq_threshold)
+    scorer = Scorer(index, args.word_threshold, RunConfig._field_defaults["seq_threshold"])
     checksum = score_all(scorer, phrases)
     scored = time.perf_counter()
     again = score_all(scorer, phrases)

@@ -35,7 +35,7 @@ from .errors import (
     UnknownConceptError,
     UnterminatedLiteralError,
 )
-from .matcher import ConceptMatch, MatchConfig, match_phrase, match_question
+from .matcher import ConceptMatch, match_phrase, match_question
 from .ontology import (
     Literal,
     OntologyGraph,
@@ -78,7 +78,6 @@ __all__ = [
     "UnknownConceptError",
     "UnterminatedLiteralError",
     "ConceptMatch",
-    "MatchConfig",
     "match_phrase",
     "match_question",
     "IndexEntry",

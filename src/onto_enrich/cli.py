@@ -17,7 +17,6 @@ import sys
 from contextlib import contextmanager
 
 from .errors import InternalInvariantError, OntoEnrichError
-from .matcher import MatchConfig
 from .pipeline import run
 from .report import OUTPUT_FORMATS, RunConfig, serialize_report
 
@@ -28,13 +27,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _threshold(value: str) -> float:
-    number = float(value)
-    if not 0.0 <= number <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value} is not within [0, 1]")
-    return number
 
 
 def _positive_int(value: str) -> int:
@@ -52,7 +44,7 @@ class _Repeatable(argparse.Action):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = {**MatchConfig._field_defaults, **RunConfig._field_defaults}
+    defaults = RunConfig._field_defaults
     parser = _Parser(
         prog="onto-enrich",
         description=(
@@ -65,11 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--corpus", required=True, help="XML question corpus with TERM1/TERM2 markup")
     parser.add_argument("--lexicon", help="TSV surface->lemma dictionary (default: identity)")
     parser.add_argument("--stoplist", help="one stop form per line (default: built-in English list)")
-    parser.add_argument("--word-threshold", type=_threshold, default=defaults["word_threshold"],
+    parser.add_argument("--word-threshold", type=float, default=defaults["word_threshold"],
                         help="min char Jaccard for two words to pair (default %(default)s)")
-    parser.add_argument("--seq-threshold", type=_threshold, default=defaults["seq_threshold"],
+    parser.add_argument("--seq-threshold", type=float, default=defaults["seq_threshold"],
                         help="min sequence score for a phrase to match (default %(default)s)")
-    parser.add_argument("--max-depth", type=_positive_int, default=defaults["max_depth"],
+    parser.add_argument("--max-depth", type=int, default=defaults["max_depth"],
                         help="path search depth cap in edges (default %(default)s)")
     parser.add_argument("--label-lang", help="keep only labels with this language tag")
     parser.add_argument("--hierarchical-predicate", dest="hierarchical_predicates",
@@ -97,19 +89,8 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = RunConfig(
-            ontology=args.ontology,
-            corpus=args.corpus,
-            lexicon=args.lexicon,
-            stoplist=args.stoplist,
-            match=MatchConfig(args.word_threshold, args.seq_threshold),
-            max_depth=args.max_depth,
-            label_predicates=args.label_predicates,
-            hierarchical_predicates=args.hierarchical_predicates,
-            label_lang=args.label_lang,
-            format=args.format,
-            optimal_only=args.optimal_only,
-        )
+        # each run setting's flag stores to its RunConfig field, which judges it
+        config = RunConfig(**{name: getattr(args, name) for name in RunConfig._fields})
         with _atomic_output(args.out) as handle:
             report = run(config)
             handle.write(serialize_report(report, config.format))

@@ -5,8 +5,9 @@ deciding whether two words count as the same once it clears a threshold.
 Sequence level: phrase lemmas greedily pair with label lemmas, and the pair
 count m scores the sequences as m / (|A| + |B| - m). A phrase maps to the
 single best-scoring concept label at or above the sequence threshold.
-The scoring itself, over the packed label index, is ``_scoring.Scorer``'s;
-this module normalizes phrases and turns winners into ``ConceptMatch``es.
+The scoring itself, over the packed label index, is ``_scoring.Scorer``'s,
+at the two thresholds a run takes from ``report.RunConfig``; this module
+normalizes phrases and turns winners into ``ConceptMatch``es.
 """
 
 from typing import AbstractSet, Mapping, NamedTuple
@@ -15,36 +16,6 @@ from ._scoring import Scorer
 from .corpus import MarkedPhrase
 from .errors import EmptySequenceError
 from .textnorm import LemmaSequence, normalize_phrase
-
-
-class _MatchConfig(NamedTuple):
-    word_threshold: float = 0.75
-    seq_threshold: float = 0.5
-
-
-class MatchConfig(_MatchConfig):
-    """Similarity thresholds, both in [0, 1].
-
-    word_threshold: minimum character Jaccard for two words to pair up.
-    seq_threshold: minimum sequence score for a phrase to match a label.
-    Construction, ``_make`` and ``_replace`` raise ValueError on a threshold
-    that is not an int or float (a bool is not) or lies outside [0, 1].
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1], got {value}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class ConceptMatch(NamedTuple):

@@ -172,8 +172,9 @@ def local_name(iri: str) -> str:
 class OntologyGraph:
     """Typed concept graph with a hierarchical predicate subset.
 
-    ``concepts`` maps each IRI to its label Literals. Two graphs are equal
-    when their concepts, edges and hierarchical predicates are.
+    ``concepts`` maps each IRI to its label Literals and ``edges`` is the
+    frozenset of RelationEdges. Two graphs are equal when their concepts,
+    edges and hierarchical predicates are.
 
     On construction the concepts are numbered once, in IRI order, so that
     comparing numbers compares IRIs: ``iris[i]`` is concept i and
@@ -182,21 +183,20 @@ class OntologyGraph:
     undirected: ``near[h][i]`` is the tuple of the distinct neighbours of i,
     ascending, and ``step[h][i][k]`` the smallest predicate joining i and
     its k-th neighbour ``near[h][i][k]``. Tuples rather than a dict per
-    concept keep the tables small. ``edge_set`` holds the edges again, for
-    checks made apart from the tables.
+    concept keep the tables small.
     """
 
     __slots__ = ("concepts", "edges", "hierarchical_predicates", "iris", "number",
-                 "near", "step", "edge_set")
+                 "near", "step")
 
     def __init__(
         self,
         concepts: dict[str, tuple[Literal, ...]],
-        edges: tuple[RelationEdge, ...],
+        edges: Iterable[RelationEdge],
         hierarchical_predicates: frozenset[str],
     ):
         self.concepts = concepts
-        self.edges = edges
+        self.edges = edges = frozenset(edges)
         self.hierarchical_predicates = hierarchical_predicates
         self.iris = tuple(sorted(concepts))
         number = self.number = {iri: i for i, iri in enumerate(self.iris)}
@@ -212,7 +212,6 @@ class OntologyGraph:
         for h, rows in ((False, full), (True, hier)):
             near = self.near[h] = tuple(tuple(sorted(row)) for row in rows)
             self.step[h] = tuple(tuple(map(row.__getitem__, js)) for row, js in zip(rows, near))
-        self.edge_set = frozenset(edges)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -221,7 +220,7 @@ class OntologyGraph:
             other.concepts, other.edges, other.hierarchical_predicates)
 
     def __repr__(self):
-        return (f"OntologyGraph(concepts={self.concepts!r}, edges={self.edges!r}, "
+        return (f"OntologyGraph(concepts={self.concepts!r}, edges={tuple(sorted(self.edges))!r}, "
                 f"hierarchical_predicates={self.hierarchical_predicates!r})")
 
 
@@ -242,7 +241,7 @@ def build_graph(
     label_preds = frozenset(label_predicates)
     iris: set[str] = set()
     labels: dict[str, list[Literal]] = {}
-    edge_set: set[tuple[str, str, str]] = set()
+    edges: set[RelationEdge] = set()
     for subject, predicate, obj in triples:
         iris.add(subject)
         if isinstance(obj, Literal):
@@ -255,12 +254,11 @@ def build_graph(
             if subject == obj:
                 raise SelfLoopEdgeError(f"self-loop on <{subject}> via <{predicate}>")
             iris.add(obj)
-            edge_set.add((subject, predicate, obj))
+            edges.add(RelationEdge(subject, predicate, obj))
 
     concepts = {iri: tuple(labels.get(iri, ())) or (Literal(local_name(iri)),)
                 for iri in sorted(iris)}
 
-    edges = tuple(RelationEdge(*e) for e in sorted(edge_set))
     return OntologyGraph(concepts, edges, frozenset(hierarchical_predicates))
 
 

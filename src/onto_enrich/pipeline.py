@@ -45,7 +45,7 @@ def run(config: RunConfig) -> Report:
     with _file_context(config.corpus):
         questions = parse_corpus(Path(config.corpus).read_bytes())
     lexicon, stoplist, loaded = _load_ontology(config)
-    scorer = loaded.scorer_at(*config.match)
+    scorer = loaded.scorer_at(config.word_threshold, config.seq_threshold)
 
     matches = [match_question(extract_phrases(q), scorer, lexicon, stoplist) for q in questions]
 

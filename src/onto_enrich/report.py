@@ -1,9 +1,11 @@
 """The report: the config it echoes, the record type, the invariant check
 and both writers.
 
-``RunConfig`` takes only values the report can echo. ``Report`` is what
-``pipeline.run`` returns, ``_check_report`` cross-checks its records before
-they are emitted, and ``serialize_report`` writes it as JSON or CSV bytes.
+``RunConfig`` is the one list of run settings: its fields are the CLI's
+destinations and the report's config keys, in order, and it takes only
+values the report can echo. ``Report`` is what ``pipeline.run`` returns,
+``_check_report`` cross-checks its records before they are emitted, and
+``serialize_report`` writes it as JSON or CSV bytes.
 """
 
 import csv
@@ -17,7 +19,7 @@ except ImportError:
     from json.encoder import py_encode_basestring as encode_basestring
 
 from .errors import InternalInvariantError
-from .matcher import ConceptMatch, MatchConfig
+from .matcher import ConceptMatch
 from .ontology import DEFAULT_HIERARCHICAL_PREDICATES, DEFAULT_LABEL_PREDICATES, OntologyGraph
 from .pathfinder import DEFAULT_MAX_DEPTH, ConnectionRecord, PathResult
 
@@ -29,7 +31,8 @@ class _RunConfig(NamedTuple):
     corpus: str
     lexicon: str | None = None
     stoplist: str | None = None
-    match: MatchConfig = MatchConfig()
+    word_threshold: float = 0.75  # least character Jaccard for two words to pair
+    seq_threshold: float = 0.5  # least sequence score for a phrase to match a label
     max_depth: int = DEFAULT_MAX_DEPTH
     label_predicates: tuple[str, ...] = tuple(sorted(DEFAULT_LABEL_PREDICATES))
     hierarchical_predicates: tuple[str, ...] = tuple(sorted(DEFAULT_HIERARCHICAL_PREDICATES))
@@ -44,8 +47,9 @@ class RunConfig(_RunConfig):
     Construction, ``_make`` and ``_replace`` raise ValueError unless every
     field has the type the report can echo: ontology and corpus a non-empty
     str; lexicon, stoplist and label_lang a non-empty str, or None for
-    absent; match a MatchConfig; max_depth an int (a bool is not) of at
-    least 1; each predicate collection a tuple or list of str; format one of
+    absent; word_threshold and seq_threshold an int or float (a bool is
+    not) within [0, 1]; max_depth an int (a bool is not) of at least 1;
+    each predicate collection a tuple or list of str; format one of
     OUTPUT_FORMATS; and optimal_only a bool. Nothing is converted: a set's
     order would vary from one process to the next, and an empty path would
     name the current directory.
@@ -64,8 +68,12 @@ class RunConfig(_RunConfig):
         for name in ("ontology", "corpus", "lexicon", "stoplist", "label_lang"):
             if getattr(self, name) == "":
                 raise ValueError(f"{name} must not be empty")
-        if not isinstance(self.match, MatchConfig):
-            raise ValueError(f"match must be a MatchConfig, got {self.match!r}")
+        for name in ("word_threshold", "seq_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be within [0, 1], got {value}")
         if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, int):
             raise ValueError(f"max_depth must be an integer, got {self.max_depth!r}")
         if self.max_depth < 1:
@@ -113,7 +121,7 @@ def _check_report(report: Report, graph: OntologyGraph) -> None:
     the config's max_depth. Path steps are checked against the graph's
     edges, not against the tables the paths were searched over.
     """
-    edges = graph.edge_set  # a RelationEdge hashes and compares as its (s, p, o)
+    edges = graph.edges  # a RelationEdge hashes and compares as its (s, p, o)
     seen = set()
     for record in report.records:
         concept_a, concept_b, hierarchical, full, optimal, question_ids = record
@@ -188,25 +196,11 @@ def _json_report(report: Report) -> str:
     # The report's fixed schema written out key by key, two-space indent;
     # tests/oracles.py holds the json.dumps form these bytes are pinned to.
     config = report.config
-    config_items = (
-        ("ontology", config.ontology),
-        ("corpus", config.corpus),
-        ("lexicon", config.lexicon),
-        ("stoplist", config.stoplist),
-        ("word_threshold", config.match.word_threshold),
-        ("seq_threshold", config.match.seq_threshold),
-        ("max_depth", config.max_depth),
-        ("label_predicates", config.label_predicates),
-        ("hierarchical_predicates", config.hierarchical_predicates),
-        ("label_lang", config.label_lang),
-        ("format", config.format),
-        ("optimal_only", config.optimal_only),
-    )
     config_json = ",\n    ".join(
         f'"{key}": '
         + (_json_strings(value, _PAD6) if isinstance(value, (tuple, list))
            else _json_scalar(value))
-        for key, value in config_items
+        for key, value in zip(config._fields, config)
     )
     records = [
         f'{{\n      "concept_a": {encode_basestring(concept_a)},'

@@ -269,8 +269,8 @@ def report_dict(report: Report) -> dict:
             "corpus": config.corpus,
             "lexicon": config.lexicon,
             "stoplist": config.stoplist,
-            "word_threshold": config.match.word_threshold,
-            "seq_threshold": config.match.seq_threshold,
+            "word_threshold": config.word_threshold,
+            "seq_threshold": config.seq_threshold,
             "max_depth": config.max_depth,
             "label_predicates": list(config.label_predicates),
             "hierarchical_predicates": list(config.hierarchical_predicates),

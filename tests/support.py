@@ -3,10 +3,14 @@
 ``serialize_corpus`` writes the canonical XML that ``parse_corpus`` reads
 back to equal questions, so round-trip tests can start from values.
 ``counting_searches`` records the path searches made while it is open.
+``run_python`` runs code in a fresh interpreter under a given hash seed.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -62,3 +66,13 @@ def counting_searches():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pathfinder, "paths_from", counted)
         yield searches
+
+
+def run_python(repo_root, hash_seed: str, *args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in ``repo_root`` with the package from its ``src/``
+    and ``PYTHONHASHSEED`` set, which fixes the order of sets of strings."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=repo_root, env=env,
+                          capture_output=True, text=True, timeout=120)

@@ -1,16 +1,21 @@
+import io
 import json
 import os
 import shutil
 import stat
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onto_enrich import cli
 from onto_enrich.cli import build_parser, main
-from onto_enrich.matcher import MatchConfig
 from onto_enrich.report import RunConfig
+from support import run_python
 
 FIXTURE_ARGS = [
     "--ontology", "fixtures/ontology.nt",
@@ -19,6 +24,14 @@ FIXTURE_ARGS = [
 ]
 
 REQUIRED_ARGS = ["--ontology", "o.nt", "--corpus", "c.xml", "--out", "r.json"]
+
+# flag values as a user may type them: in and out of range, nan and
+# infinities, signed zeros, and integer and exponent forms
+_THRESHOLDS = st.one_of(
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "-0", "0", "1", "2", "-1", "1e0", ".5",
+                     "0.75", "1.0000001", "-0.0"]),
+    st.floats(-0.5, 1.5).map(repr))
+_DEPTHS = st.one_of(st.sampled_from(["-0", "0", "+1", "007"]), st.integers(-3, 12).map(str))
 
 
 @pytest.fixture()
@@ -34,6 +47,8 @@ class TestMain:
         assert out.read_bytes() == golden
         captured = capsys.readouterr()
         assert captured.out == ""
+        # the config's fields are the report's config keys, in order
+        assert tuple(json.loads(golden)["config"]) == RunConfig._fields
 
     def test_csv_format(self, in_repo_root, repo_root, tmp_path):
         out = tmp_path / "report.csv"
@@ -68,10 +83,18 @@ class TestMain:
 
     def test_defaults_are_the_records_defaults(self):
         args = build_parser().parse_args(REQUIRED_ARGS)
-        match = MatchConfig(args.word_threshold, args.seq_threshold)
-        assert match == MatchConfig()
-        fields = {name: getattr(args, name) for name in RunConfig._fields if name != "match"}
-        assert RunConfig(match=match, **fields) == RunConfig("o.nt", "c.xml")
+        fields = {name: getattr(args, name) for name in RunConfig._fields}
+        assert repr(RunConfig(**fields)) == repr(RunConfig("o.nt", "c.xml"))
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_bytes_do_not_depend_on_hash_order(self, repo_root, tmp_path, fmt, seed):
+        # a graph's edges are a set, whose order follows the string hash seed
+        out = tmp_path / f"report.{fmt}"
+        result = run_python(repo_root, seed, "-m", "onto_enrich.cli", *FIXTURE_ARGS,
+                            "--format", fmt, "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert out.read_bytes() == (repo_root / f"tests/golden/fixture_report.{fmt}").read_bytes()
 
     def test_repeated_predicate_flag_replaces_its_default(self):
         args = build_parser().parse_args(
@@ -165,10 +188,38 @@ class TestExitCodes:
             main(["--corpus", "only.xml"])
         assert exc.value.code == 1
 
-    def test_out_of_range_threshold_exits_one(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(FIXTURE_ARGS + ["--word-threshold", "1.5", "--out", "r.json"])
-        assert exc.value.code == 1
+    def test_out_of_range_threshold_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(FIXTURE_ARGS + ["--word-threshold", "1.5", "--out", str(out)]) == 1
+        assert "error: word_threshold must be within [0, 1], got 1.5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(_THRESHOLDS, _THRESHOLDS, _DEPTHS)
+    def test_refuses_exactly_what_the_config_refuses(self, repo_root, word, seq, depth):
+        # the flags convert and RunConfig judges: main exits 1 with its
+        # message, before any input is read or --out is made, exactly when
+        # RunConfig refuses the converted values
+        args = [str(repo_root / a) if a.startswith("fixtures/") else a for a in FIXTURE_ARGS]
+        try:
+            RunConfig("o.nt", "c.xml", word_threshold=float(word), seq_threshold=float(seq),
+                      max_depth=int(depth))
+            refusal = None
+        except ValueError as exc:
+            refusal = str(exc)
+        with tempfile.TemporaryDirectory() as directory:
+            out = os.path.join(directory, "r.json")
+            err = io.StringIO()
+            with redirect_stderr(err):
+                # "=" keeps a value such as -inf from reading as a flag
+                code = main(args + [f"--word-threshold={word}", f"--seq-threshold={seq}",
+                                    f"--max-depth={depth}", "--out", out])
+            if refusal is None:
+                assert (code, os.listdir(directory)) == (0, ["r.json"]), err.getvalue()
+            else:
+                assert code == 1
+                assert err.getvalue() == f"onto-enrich: error: {refusal}\n"
+                assert os.listdir(directory) == []
 
     def test_internal_invariant_violation_exits_two(self, in_repo_root, tmp_path,
                                                     capsys, monkeypatch):

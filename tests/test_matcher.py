@@ -9,7 +9,7 @@ from onto_enrich import _scoring
 from onto_enrich._scoring import IndexEntry, LabelIndex, Scorer
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import EmptySequenceError
-from onto_enrich.matcher import ConceptMatch, MatchConfig, match_phrase, match_question
+from onto_enrich.matcher import ConceptMatch, match_phrase, match_question
 from onto_enrich.textnorm import normalize_phrase
 from oracles import char_jaccard, reference_counts, seq_similarity
 
@@ -30,17 +30,18 @@ tie_entries = st.lists(
     st.tuples(st.sampled_from(["c:a", "c:b", "c:c"]), st.sampled_from(["x", "y", "z"]),
               tie_sequences),
     max_size=10, unique_by=lambda e: e[:2])
-tie_configs = st.builds(
-    MatchConfig,
+tie_configs = st.tuples(
     st.sampled_from([0.0, 0.5, 0.75, 1.0]),
     st.one_of(st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 1.0]), st.floats(0.0, 1.0)))
 
 
 def _brute_force_match(seq, entries, config):
-    """(entry, exact score) of the best label, or None below seq_threshold."""
-    m, d = reference_counts(seq, [e.lemmas for e in entries], config.word_threshold)
+    """(entry, exact score) of the best label, or None below seq_threshold,
+    at ``config``'s (word_threshold, seq_threshold)."""
+    word_threshold, seq_threshold = config
+    m, d = reference_counts(seq, [e.lemmas for e in entries], word_threshold)
     scored = [(Fraction(mj, dj), e) for mj, dj, e in zip(m, d, entries)
-              if mj / dj >= config.seq_threshold]
+              if mj / dj >= seq_threshold]
     if not scored:
         return None
     top = max(score for score, _ in scored)
@@ -110,7 +111,7 @@ class TestSeqSimilarity:
 
 
 class TestMatchPhrase:
-    CFG = MatchConfig(0.75, 0.5)
+    CFG = (0.75, 0.5)
 
     def test_partial_overlap_with_longer_label(self):
         index = _index(("c:TriangleMiddleLine", "Triangle middle line",
@@ -180,10 +181,11 @@ class TestMatchPhrase:
         vocab = ["triangle", "angle", "segment", "circle", "point", "lines", "right"]
         for _ in range(100):
             seq = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
-            cfg = MatchConfig(rng.random(), rng.random())
-            match = match_phrase(_phrase(" ".join(seq)), seq, Scorer(fixture_index, *cfg))
+            word_threshold, seq_threshold = rng.random(), rng.random()
+            scorer = Scorer(fixture_index, word_threshold, seq_threshold)
+            match = match_phrase(_phrase(" ".join(seq)), seq, scorer)
             if match is not None:
-                assert match.score >= cfg.seq_threshold
+                assert match.score >= seq_threshold
 
     def test_agrees_with_scalar_brute_force(self, fixture_index):
         # the batch kernel path must pick exactly what a direct scan picks
@@ -192,16 +194,17 @@ class TestMatchPhrase:
         entries = fixture_index.entries
         for _ in range(50):
             seq = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
-            cfg = MatchConfig(0.7, 0.4)
+            word_threshold, seq_threshold = 0.7, 0.4
             best = None
             for e in entries:
-                score = seq_similarity(seq, e.lemmas, cfg.word_threshold)
-                if score < cfg.seq_threshold:
+                score = seq_similarity(seq, e.lemmas, word_threshold)
+                if score < seq_threshold:
                     continue
                 key = (-score, len(e.lemmas), e.iri, e.label)
                 if best is None or key < best[0]:
                     best = (key, e, score)
-            match = match_phrase(_phrase(" ".join(seq)), seq, Scorer(fixture_index, *cfg))
+            scorer = Scorer(fixture_index, word_threshold, seq_threshold)
+            match = match_phrase(_phrase(" ".join(seq)), seq, scorer)
             if best is None:
                 assert match is None
             else:
@@ -214,9 +217,9 @@ class TestMatchPhrase:
     @given(tie_sequences, tie_entries, tie_configs)
     # 1/2 == 2/4 at exactly seq_threshold; 1/3 == 2/6 between labels of one IRI
     @example(("aa", "abc"), [("c:b", "x", ("aa",)), ("c:a", "y", ("aa", "abc", "bc", "лин"))],
-             MatchConfig(1.0, 0.5))
+             (1.0, 0.5))
     @example(("aa", "ab", "abc"), [("c:a", "y", ("aa", "ab", "лин", "bc", "линия")),
-                                   ("c:a", "x", ("ab",))], MatchConfig(1.0, 0.0))
+                                   ("c:a", "x", ("ab",))], (1.0, 0.0))
     def test_agrees_with_fraction_brute_force(self, seq, entries, config):
         _assert_best_match(seq, entries, config)
 
@@ -257,8 +260,7 @@ def size_order_banks(draw):
     return ("abcd", *tail), [lead, *entries]
 
 
-group_configs = st.builds(
-    MatchConfig,
+group_configs = st.tuples(
     st.one_of(st.sampled_from([0.0, 0.4, 0.5, 0.6, 0.75, 1.0]), st.floats(0.0, 1.0)),
     st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]), st.floats(0.0, 1.0)))
 
@@ -271,18 +273,18 @@ class TestBitParallelWinner:
     @given(group_phrases, group_entries, group_configs)
     # one lemma pairs once with a label that repeats it: 1.0 beats 1/2
     @example(("ab", "ab"), [("c:b", "x", ("ab",)), ("c:a", "x", ("ab", "ab"))],
-             MatchConfig(1.0, 0.0))
+             (1.0, 0.0))
     # "ab" ties "abc" and "abd" at 2/3 and takes the earlier, starving "abc"
-    @example(("ab", "abc"), [("c:a", "x", ("abc", "abd"))], MatchConfig(0.6, 0.0))
+    @example(("ab", "abc"), [("c:a", "x", ("abc", "abd"))], (0.6, 0.0))
     # "abcd" ties "abcxy" (3/6) and "ab" (2/4) and takes the earlier, which
     # leaves "ab" its exact match
     @example(("abcd", "ab"), [("c:a", "x", ("cd",)), ("c:b", "x", ("abcxy", "ab"))],
-             MatchConfig(0.5, 0.0))
+             (0.5, 0.0))
     # 1/2 from (m, length) = (1, 1) ties 2/4 from (2, 4): the shorter label wins
     @example(("ab", "abc"), [("c:b", "x", ("ab",)), ("c:a", "x", ("ab", "abc", "x", "x"))],
-             MatchConfig(1.0, 0.0))
+             (1.0, 0.0))
     # equal labels fall to the smaller iri, not to the earlier entry
-    @example(("ab",), [("c:b", "x", ("ab",)), ("c:a", "x", ("ab",))], MatchConfig(1.0, 0.5))
+    @example(("ab",), [("c:b", "x", ("ab",)), ("c:a", "x", ("ab",))], (1.0, 0.5))
     def test_agrees_with_fraction_brute_force(self, seq, entries, config):
         _assert_best_match(seq, entries, config)
 
@@ -295,7 +297,7 @@ class TestBitParallelWinner:
 
 
 class TestMatchQuestion:
-    CFG = MatchConfig()
+    CFG = (0.75, 0.5)
 
     def test_fixture_question_pair(self, fixture_corpus, fixture_index,
                                    fixture_lexicon, fixture_stoplist):
@@ -353,6 +355,7 @@ def _questions(pool, bank):
 def _oracle_question(phrases, entries, config):
     """match_question by a direct scan: seq_similarity per label, the rank
     tie-break, then one match per concept (highest score, earliest phrase)."""
+    word_threshold, seq_threshold = config
     by_concept = {}
     for phrase in phrases:
         seq = normalize_phrase(phrase.raw, {}, MEMO_STOPLIST)
@@ -360,9 +363,9 @@ def _oracle_question(phrases, entries, config):
             continue
         best = None
         for e in entries:
-            score = seq_similarity(seq, e.lemmas, config.word_threshold)
+            score = seq_similarity(seq, e.lemmas, word_threshold)
             key = (-score, len(e.lemmas), e.iri, e.label)
-            if score >= config.seq_threshold and (best is None or key < best[0]):
+            if score >= seq_threshold and (best is None or key < best[0]):
                 best = (key, e, score)
         if best is None:
             continue
@@ -475,19 +478,3 @@ class TestProperties:
             b = tuple(_random_lemma(rng) for _ in range(rng.randint(1, 4)))
             scores = [seq_similarity(a, b, t) for t in thresholds]
             assert all(x >= y for x, y in zip(scores, scores[1:]))
-
-
-class TestMatchConfig:
-    @pytest.mark.parametrize("field,value", [
-        ("word_threshold", -0.1), ("word_threshold", 1.1),
-        ("seq_threshold", -0.1), ("seq_threshold", 2.0),
-    ])
-    def test_threshold_validation(self, field, value):
-        kwargs = {field: value}
-        with pytest.raises(ValueError):
-            MatchConfig(**kwargs)
-
-    def test_defaults(self):
-        cfg = MatchConfig()
-        assert cfg.word_threshold == 0.75
-        assert cfg.seq_threshold == 0.5

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 
@@ -24,10 +25,23 @@ from onto_enrich.ontology import (
     parse_triples,
 )
 from onto_enrich.textnorm import DEFAULT_STOPLIST, decode_lines
+from support import run_python
+
+
+# prints the fixture graph's search tables, with parallel edges added
+TABLES = """
+from onto_enrich.ontology import OntologyGraph, RelationEdge, build_graph, parse_triples
+graph = build_graph(parse_triples(open("fixtures/ontology.nt", "rb").read()))
+parallel = {RelationEdge("c:Square", "ome:zz", "c:Rhombus"),
+            RelationEdge("c:Rhombus", "ome:aa", "c:Square"),
+            RelationEdge("c:Square", "rdfs:subClassOf", "c:Rhombus")}
+graph = OntologyGraph(graph.concepts, graph.edges | parallel, graph.hierarchical_predicates)
+print(graph.near, graph.step)
+"""
 
 
 def hierarchical_edges(graph):
-    return tuple(e for e in graph.edges if e.predicate in graph.hierarchical_predicates)
+    return frozenset(e for e in graph.edges if e.predicate in graph.hierarchical_predicates)
 
 
 def smallest_joining(graph, hierarchical_only):
@@ -293,6 +307,26 @@ class TestBuildGraph:
         ])
         assert len(graph.edges) == 1
 
+    def test_edges_are_one_set_in_any_order(self, fixture_graph):
+        # edges given in any order and with repeats make one graph
+        edges = sorted(fixture_graph.edges) + [RelationEdge("c:Square", "ome:zz", "c:Rhombus"),
+                                               RelationEdge("c:Rhombus", "ome:aa", "c:Square")]
+        orders = (edges, edges[::-1], random.Random(7).sample(edges, len(edges)), edges * 2)
+        graphs = [OntologyGraph(fixture_graph.concepts, order,
+                                fixture_graph.hierarchical_predicates) for order in orders]
+        assert graphs[0].edges == frozenset(edges)
+        for graph in graphs[1:]:
+            assert graph == graphs[0] and repr(graph) == repr(graphs[0])
+            assert (graph.near, graph.step) == (graphs[0].near, graphs[0].step)
+        assert f"edges={tuple(sorted(edges))!r}" in repr(graphs[0])
+
+    def test_search_tables_do_not_depend_on_hash_seed(self, repo_root):
+        # the edges are a set, iterated in an order that follows the hash
+        # seed; parallel edges make the smallest-predicate rule matter
+        results = [run_python(repo_root, seed, "-c", TABLES) for seed in "012345"]
+        assert [r.returncode for r in results] == [0] * 6, results[0].stderr
+        assert len({r.stdout for r in results}) == 1
+
     def test_label_only_subject_is_concept(self):
         graph = build_graph([("c:Lonely", "rdfs:label", Literal("Lonely one", "en"))])
         assert set(graph.concepts) == {"c:Lonely"}
@@ -304,7 +338,7 @@ class TestBuildGraph:
     def test_non_label_literal_registers_subject_only(self):
         graph = build_graph([("c:A", "c:comment", Literal("note", None))])
         assert set(graph.concepts) == {"c:A"}
-        assert graph.edges == ()
+        assert graph.edges == frozenset()
 
     def test_language_filter(self):
         triples = [
@@ -350,7 +384,7 @@ class TestBuildGraph:
                     RelationEdge("c:Rhombus", "ome:aa", "c:Square"),
                     RelationEdge("c:Square", "rdfs:subClassOf", "c:Rhombus"))
         graphs = (fixture_graph, OntologyGraph(fixture_graph.concepts,
-                                               parallel + fixture_graph.edges,
+                                               parallel + tuple(sorted(fixture_graph.edges)),
                                                fixture_graph.hierarchical_predicates))
         for graph in graphs:
             assert graph.iris == tuple(sorted(graph.concepts))
@@ -366,12 +400,13 @@ class TestBuildGraph:
 
     def test_replace_leaves_the_original_intact(self):
         graph = build_graph(parse_triples(b"<a> <p> <b> .\n<b> <p> <c> .\n"))
-        copy = OntologyGraph(graph.concepts, graph.edges[:1], graph.hierarchical_predicates)
+        copy = OntologyGraph(graph.concepts, sorted(graph.edges)[:1],
+                             graph.hierarchical_predicates)
         assert search_tables(graph, False)["b"] == (("a", "p"), ("c", "p"))
         assert search_tables(copy, False)["b"] == (("a", "p"),)
         assert search_tables(copy, False)["c"] == ()
-        assert copy.edge_set == {("a", "p", "b")}
-        assert graph.edge_set == {("a", "p", "b"), ("b", "p", "c")}
+        assert copy.edges == {("a", "p", "b")}
+        assert graph.edges == {("a", "p", "b"), ("b", "p", "c")}
 
 
 class TestBuildLabelIndex:

@@ -218,10 +218,9 @@ _PREDICATES = ("rdfs:label", "rdfs:subClassOf", "ome:hasChild", "ome:relatedTo",
 
 def _at(config, word_threshold, seq_threshold=None):
     """``config`` at another word threshold, and sequence threshold if given."""
-    match = config.match._replace(word_threshold=word_threshold)
-    if seq_threshold is not None:
-        match = match._replace(seq_threshold=seq_threshold)
-    return config._replace(match=match)
+    if seq_threshold is None:
+        return config._replace(word_threshold=word_threshold)
+    return config._replace(word_threshold=word_threshold, seq_threshold=seq_threshold)
 
 
 def _loaded(config=FIXTURE_CONFIG):
@@ -333,7 +332,8 @@ class TestOntologyReuse:
             assert _builds() == (misses + 1, hits + 1)
             assert [memo.cache_info().currsize for memo in _MEMOS] == [1, 1, 1]
             scorer = _loaded(config).scorer
-            assert (scorer.word_threshold, scorer.seq_threshold) == config.match
+            assert (scorer.word_threshold, scorer.seq_threshold) == \
+                (config.word_threshold, config.seq_threshold)
 
     def test_ontology_rewritten_in_place_is_read_again(self, fixture_copy, golden):
         ontology = Path("fixtures/ontology.nt")
@@ -469,7 +469,7 @@ class TestOntologyReuse:
             barrier.wait(timeout=60)
             results = []
             for config in configs:
-                running.match = config.match
+                running.thresholds = config.word_threshold, config.seq_threshold
                 before = counts[threading.get_ident()]
                 payload = serialize_report(run(config), "json")
                 results.append((payload, counts[threading.get_ident()] - before))
@@ -483,8 +483,9 @@ class TestOntologyReuse:
                 counted = _scoring._best_entry
 
                 def checked(scorer, seq):
-                    if (scorer.word_threshold, scorer.seq_threshold) != running.match:
-                        wrong.append((running.match, scorer.word_threshold, scorer.seq_threshold))
+                    if (scorer.word_threshold, scorer.seq_threshold) != running.thresholds:
+                        wrong.append(
+                            (running.thresholds, scorer.word_threshold, scorer.seq_threshold))
                     return counted(scorer, seq)
 
                 mp.setattr(_scoring, "_best_entry", checked)
@@ -573,8 +574,8 @@ class TestWordMemos:
                 _clear_memos()
                 fresh[repr(config)] = _report(config)
         _clear_memos()
-        reuses = [False] + [(a.ontology, a.match) == (b.ontology, b.match)
-                            for a, b in zip(configs, configs[1:])]
+        keys = [(c.ontology, c.word_threshold, c.seq_threshold) for c in configs]
+        reuses = [False] + [a == b for a, b in zip(keys, keys[1:])]
         assert [_report(config) for config in configs] == [
             (fresh[repr(c)][0], 0 if reuse else fresh[repr(c)][1])
             for c, reuse in zip(configs, reuses)]

@@ -11,7 +11,7 @@ import pytest
 
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import InternalInvariantError
-from onto_enrich.matcher import ConceptMatch, MatchConfig
+from onto_enrich.matcher import ConceptMatch
 from onto_enrich.ontology import Literal, OntologyGraph, RelationEdge
 from onto_enrich.pathfinder import ConnectionRecord, PathResult
 from onto_enrich.report import Report, RunConfig, _check_report
@@ -38,10 +38,9 @@ RECORDS = [
      "hierarchical=PathResult(length=1, nodes=('c:A', 'c:B'), "
      "predicates=('rdfs:subClassOf',)), full=PathResult(length=1, nodes=('c:A', 'c:B'), "
      "predicates=('rdfs:subClassOf',)), optimal=False, question_ids=('q1',))"),
-    (MatchConfig(), "MatchConfig(word_threshold=0.75, seq_threshold=0.5)"),
     (RunConfig("o.nt", "c.xml"),
      "RunConfig(ontology='o.nt', corpus='c.xml', lexicon=None, stoplist=None, "
-     "match=MatchConfig(word_threshold=0.75, seq_threshold=0.5), max_depth=6, "
+     "word_threshold=0.75, seq_threshold=0.5, max_depth=6, "
      "label_predicates=('rdfs:label',), "
      "hierarchical_predicates=('ome:hasChild', 'rdfs:subClassOf'), label_lang=None, "
      "format='json', optimal_only=False)"),
@@ -91,8 +90,21 @@ def test_invariant_message_embeds_the_repr():
         "predicates=('rdfs:subClassOf',)), optimal=False, question_ids=('q1',))")
 
 
+def _assert_refused(field, value, message):
+    """Construction, ``_replace`` and ``_make`` refuse ``value`` for
+    ``field`` of an otherwise default config, with ``message``."""
+    config = RunConfig("o.nt", "c.xml")
+    values = {**config._asdict(), field: value}
+    for build in (lambda: RunConfig(**values),
+                  lambda: config._replace(**{field: value}),
+                  lambda: RunConfig._make(values.values())):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 class TestConfigValidation:
-    """``_replace`` and ``_make`` validate exactly as the constructors do."""
+    """``_replace`` and ``_make`` validate exactly as the constructor does."""
 
     @pytest.mark.parametrize("field,value,message", [
         ("word_threshold", -0.1, "word_threshold must be within [0, 1], got -0.1"),
@@ -101,15 +113,18 @@ class TestConfigValidation:
         ("seq_threshold", False, "seq_threshold must be a real number, got False"),
         ("word_threshold", "0.5", "word_threshold must be a real number, got '0.5'"),
         ("seq_threshold", None, "seq_threshold must be a real number, got None"),
+        pytest.param("word_threshold", 1.1, "word_threshold must be within [0, 1], got 1.1",
+                     id="word_threshold-1.1"),
+        pytest.param("seq_threshold", -0.1, "seq_threshold must be within [0, 1], got -0.1",
+                     id="seq_threshold--0.1"),
+        pytest.param("word_threshold", math.nan, "word_threshold must be within [0, 1], got nan",
+                     id="word_threshold-nan"),
+        pytest.param("seq_threshold", math.inf, "seq_threshold must be within [0, 1], got inf",
+                     id="seq_threshold-inf"),
     ])
     def test_match_config(self, field, value, message):
-        values = {**MatchConfig()._asdict(), field: value}
-        for build in (lambda: MatchConfig(**values),
-                      lambda: MatchConfig()._replace(**{field: value}),
-                      lambda: MatchConfig._make(values.values())):
-            with pytest.raises(ValueError) as exc:
-                build()
-            assert str(exc.value) == message
+        """The two match thresholds, word_threshold and seq_threshold."""
+        _assert_refused(field, value, message)
 
     @pytest.mark.parametrize("field,value,message", [
         ("max_depth", 0, "max_depth must be >= 1"),
@@ -132,10 +147,6 @@ class TestConfigValidation:
                      id="stoplist-bytes"),
         pytest.param("label_lang", ("en",), "label_lang must be a str or None, got ('en',)",
                      id="label_lang-tuple"),
-        pytest.param("match", (math.nan, 0.5), "match must be a MatchConfig, got (nan, 0.5)",
-                     id="match-tuple"),
-        pytest.param("match", ("0.5", 0.5), "match must be a MatchConfig, got ('0.5', 0.5)",
-                     id="match-tuple-of-str"),
         pytest.param("label_predicates", frozenset({"rdfs:label"}),
                      "label_predicates must be a tuple or list of str, "
                      "got frozenset({'rdfs:label'})", id="label_predicates-frozenset"),
@@ -154,21 +165,15 @@ class TestConfigValidation:
                      id="optimal_only-int"),
     ])
     def test_run_config(self, field, value, message):
-        config = RunConfig("o.nt", "c.xml")
-        values = {**config._asdict(), field: value}
-        for build in (lambda: RunConfig(**values),
-                      lambda: config._replace(**{field: value}),
-                      lambda: RunConfig._make(values.values())):
-            with pytest.raises(ValueError) as exc:
-                build()
-            assert str(exc.value) == message
+        _assert_refused(field, value, message)
 
     def test_valid_copies_keep_their_type(self):
         config = RunConfig("o.nt", "c.xml")
         assert type(config._replace(max_depth=3)) is RunConfig
         assert type(RunConfig._make(config)) is RunConfig
-        assert type(MatchConfig()._replace(seq_threshold=0.0)) is MatchConfig
-        assert MatchConfig._make((0.1, 0.2)) == MatchConfig(0.1, 0.2)
+        assert type(config._replace(seq_threshold=0.0)) is RunConfig
+        assert RunConfig._make(config._replace(word_threshold=0.1, seq_threshold=0.2)) == \
+            RunConfig("o.nt", "c.xml", word_threshold=0.1, seq_threshold=0.2)
 
 
 class TestSlotClasses:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from onto_enrich.corpus import MarkedPhrase, PhraseKind, PhraseSource
 from onto_enrich.errors import InternalInvariantError
-from onto_enrich.matcher import ConceptMatch, MatchConfig
+from onto_enrich.matcher import ConceptMatch
 from onto_enrich.pathfinder import ConnectionRecord, PathResult
 from onto_enrich.pipeline import run
 from onto_enrich.report import (
@@ -70,7 +70,7 @@ _MATCHES = st.builds(
 _CONFIGS = st.builds(
     RunConfig,
     ontology=_NAME, corpus=_NAME, lexicon=_OPTIONAL_NAME, stoplist=_OPTIONAL_NAME,
-    match=st.builds(MatchConfig, _NUMBERS, _NUMBERS),
+    word_threshold=_NUMBERS, seq_threshold=_NUMBERS,
     max_depth=st.integers(1, 10**12),
     label_predicates=_TEXTS, hierarchical_predicates=_TEXTS, label_lang=_OPTIONAL_NAME,
     format=st.sampled_from(OUTPUT_FORMATS), optimal_only=st.booleans(),
@@ -82,7 +82,7 @@ _REPORTS = st.builds(
     _TEXTS,
 )
 _EMPTY_REPORT = Report(
-    "", RunConfig("o", "c", match=MatchConfig(1, 0), label_predicates=(),
+    "", RunConfig("o", "c", word_threshold=1, seq_threshold=0, label_predicates=(),
                   hierarchical_predicates=()), (), (), ())
 
 # Values of every type a caller might pass for a RunConfig field, most of
@@ -95,7 +95,7 @@ _ANY_PREDICATES = st.lists(_TEXT | _ANY_SCALAR, max_size=3).flatmap(lambda items
     [tuple(items), list(items), frozenset(items), iter(items), "".join(map(str, items))]))
 _ANY_FIELD = dict(
     ontology=_ANY_SCALAR, corpus=_ANY_SCALAR, lexicon=_ANY_SCALAR, stoplist=_ANY_SCALAR,
-    match=st.tuples(_ANY_SCALAR, _ANY_SCALAR), max_depth=_ANY_SCALAR,
+    word_threshold=_ANY_SCALAR, seq_threshold=_ANY_SCALAR, max_depth=_ANY_SCALAR,
     label_predicates=_ANY_PREDICATES, hierarchical_predicates=_ANY_PREDICATES,
     label_lang=_ANY_SCALAR, format=_ANY_SCALAR,
     optimal_only=_ANY_SCALAR | st.sampled_from(["no", "yes", "false", ""]),
